@@ -674,7 +674,7 @@ let p2 () =
           Tables.fmt_ratio cold_t warm_t;
           status;
           string_of_int bytes;
-          string_of_int result.Service.Engine.conflicts;
+          string_of_int result.Service.Engine.stats.Cec_core.Parallel.conflicts;
         ])
       Circuits.Suite.default
   in

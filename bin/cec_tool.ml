@@ -527,11 +527,11 @@ let service_engine jobs budget sweep_mode portfolio =
   let base =
     {
       Service.Engine.default_config with
-      Service.Engine.jobs;
+      Parallel.num_domains = jobs;
       engine = Cec.Sweeping { Sweep.default_config with Sweep.mode = sweep_mode; portfolio };
     }
   in
-  match budget with None -> base | Some _ -> { base with Service.Engine.budget = budget }
+  match budget with None -> base | Some _ -> { base with Parallel.budget = budget }
 
 (* [--socket PATH] is always a Unix path; [--listen ADDR] goes through
    {!Service.Addr.parse} (Unix path or HOST:PORT).  Any mix, at least

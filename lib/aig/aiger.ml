@@ -27,6 +27,21 @@ let write_file path g =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_channel oc g)
 
+(* Header counts are untrusted and size the allocations that follow,
+   so they are checked against the input before anything is allocated
+   from them.  Negative counts are refused, and so are counts the input
+   cannot hold: more inputs than variables, more outputs or ANDs than
+   the [records] body records the remaining input has room for, and a
+   maximum variable index beyond one variable per bit of the
+   [len]-byte input.  Binary inputs take no bytes at all, so that last
+   bound is what keeps memory linear in the input's length. *)
+let check_counts ~len ~records (m, i, l, o, a) =
+  if m < 0 || i < 0 || l < 0 || o < 0 || a < 0 then fail "negative count in header";
+  if l <> 0 then fail "latches are not supported (combinational only)";
+  if m > 8 * len then fail "maximum variable index %d is more than a %d-byte input can hold" m len;
+  if i > m || o > records || a > records then
+    fail "truncated file: the header declares more than the input holds"
+
 let of_ascii_string text =
   let lines = String.split_on_char '\n' text in
   let lines = List.filter (fun s -> String.trim s <> "") lines in
@@ -54,8 +69,9 @@ let of_ascii_string text =
       | _ -> fail "malformed header %S" header)
     | _ -> fail "malformed header %S" header
   in
-  if l <> 0 then fail "latches are not supported (combinational only)";
-  if List.length rest < i + o + a then fail "truncated file";
+  let records = List.length rest in
+  check_counts ~len:(String.length text) ~records (m, i, l, o, a);
+  if records < i + o + a then fail "truncated file";
   let take n xs =
     let rec loop n xs acc =
       if n = 0 then (List.rev acc, xs)
@@ -161,7 +177,8 @@ let of_binary_string text =
       | _ -> fail "malformed binary header %S" header)
     | _ -> fail "malformed binary header %S" header
   in
-  if l <> 0 then fail "latches are not supported (combinational only)";
+  (* Every output line and every AND record takes at least two bytes. *)
+  check_counts ~len ~records:((len - !pos) / 2) (m, i, l, o, a);
   if m <> i + a then fail "binary AIGER requires M = I + A (got M=%d I=%d A=%d)" m i a;
   let output_lits =
     List.init o (fun _ ->

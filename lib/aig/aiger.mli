@@ -19,7 +19,11 @@ val write_file : string -> Graph.t -> unit
 val to_binary_string : Graph.t -> string
 
 (** Parse an AIGER document, auto-detecting ASCII ("aag") vs binary
-    ("aig") from the header.
+    ("aig") from the header.  Header counts are checked against the
+    input's length before anything is allocated from them: a negative
+    count, more outputs or ANDs than the body has room for, or a
+    maximum variable index above eight per input byte is a
+    [Parse_error], so memory stays linear in the input.
     @raise Parse_error on malformed input or latches. *)
 val of_string : string -> Graph.t
 

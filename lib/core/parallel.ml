@@ -18,7 +18,7 @@ let default_config =
     engine = Cec.Sweeping Sweep.default_config;
     budget = None;
     escalation = 4;
-    max_rounds = 3;
+    max_rounds = 4;
   }
 
 type status =
@@ -50,6 +50,7 @@ type report = {
   verdict : Cec.verdict;
   stats : stats;
   degraded : string option;
+  timed_out : bool;
 }
 
 (* One solving job: a distinct disagreement literal and its fanin cone,
@@ -100,11 +101,12 @@ let attempt engine budget bdd_cap job =
 
    Supervision: a job whose attempt raises (a worker "crash" — real
    bug or injected [worker.crash]) is retried once, immediately, on
-   the same worker; a second crash marks the job permanently crashed
-   ([job.crashes >= 2], surfaced as status [Crashed] and a degraded
-   report) instead of tearing down the whole round.  Each worker
-   mutates only the job it popped, so the crash bookkeeping needs no
-   synchronization.
+   the same worker; a second crash marks the job crashed for this
+   round ([job.crashes >= 2]) instead of tearing down the whole round.
+   It stays pending, so the next round tries it again; only a crash in
+   the last round it ran surfaces as status [Crashed] and a degraded
+   report.  Each worker mutates only the job it popped, so the crash
+   bookkeeping needs no synchronization.
 
    Each worker records observability into its own local registry —
    plain mutation, no synchronization — and the registries are merged
@@ -134,6 +136,7 @@ let run_round ~num_domains engine budget bdd_cap jobs =
             let i = Atomic.fetch_and_add next 1 in
             if i < n then begin
               let job = jobs.(i) in
+              job.crashes <- 0;
               let t0 = Obs.Clock.now () in
               Obs.Histogram.observe o_queue_wait_ms (1000.0 *. (t0 -. round_start));
               (try attempt engine budget bdd_cap job
@@ -165,14 +168,8 @@ let job_undecided job =
   | Some _ -> false
   | None -> true
 
-(* Crashed on both its attempt and the one retry: terminal, never
-   rescheduled, reported as [Crashed]. *)
+(* Crashed on both its attempt and the one retry of its latest round. *)
 let job_crashed job = job.crashes >= 2 && job_undecided job
-
-let job_refuted job =
-  match job.result with
-  | Some { Cec.verdict = Cec.Inequivalent _; _ } -> true
-  | _ -> false
 
 (* Merge the per-partition refutations into one refutation of the
    combined miter CNF (see the .mli for the construction). *)
@@ -244,7 +241,7 @@ let stitch miter diffs formula jobs =
     | Solver.Sat _ | Solver.Unknown | Solver.Unsat_assuming _ ->
       failwith "Parallel.check: final stitch call did not refute (internal error)")
 
-let check ?(config = default_config) a b =
+let check ?(clock = Obs.Clock.now) ?deadline ?(config = default_config) a b =
   let miter, diffs = Aig.Miter.build_detailed a b in
   let formula = Cnf.Tseitin.miter_formula miter in
   (* Partition: one slot per output pair, one job per distinct
@@ -295,16 +292,14 @@ let check ?(config = default_config) a b =
     schedule;
   let num_domains = max 1 config.num_domains in
   let escalation = max 2 config.escalation in
+  let max_rounds = max 1 config.max_rounds in
   let reg = Obs.ambient () in
   let o_rounds = Obs.Registry.counter reg "parallel.rounds" in
   let o_escalations = Obs.Registry.counter reg "parallel.budget_escalations" in
   Obs.Counter.add (Obs.Registry.counter reg "parallel.partitions") (Array.length slots);
   Obs.Counter.add (Obs.Registry.counter reg "parallel.jobs") (Array.length jobs);
-  let rounds = ref 0 in
-  let domains_used = ref (if Array.length schedule = 0 then 1 else 0) in
-  let budget_for round =
-    Option.map (fun b -> b * int_of_float (float_of_int escalation ** float_of_int round)) config.budget
-  in
+  let scaled round x = x * int_of_float (float_of_int escalation ** float_of_int round) in
+  let budget_for round = Option.map (scaled round) config.budget in
   (* Engine cutoffs ride the same escalation schedule: a portfolio
      sweep's per-candidate BDD node cap grows with the conflict budget,
      so a cone whose BDD blew up in round 0 gets a real second chance
@@ -312,32 +307,78 @@ let check ?(config = default_config) a b =
   let bdd_cap_for round =
     match config.engine with
     | Cec.Sweeping { Sweep.portfolio = Sweep.Bdd_first | Sweep.Hybrid; bdd_max_nodes; _ } ->
-      Some (bdd_max_nodes * int_of_float (float_of_int escalation ** float_of_int round))
+      Some (scaled round bdd_max_nodes)
     | _ -> None
   in
-  let pending = ref schedule in
-  let continue = ref (Array.length schedule > 0) in
-  while !continue do
-    let budget = budget_for !rounds in
-    Obs.Counter.incr o_rounds;
-    if !rounds > 0 then Obs.Counter.incr o_escalations;
-    let used =
-      Obs.Span.with_ reg "parallel.round" (fun () ->
-          run_round ~num_domains config.engine budget (bdd_cap_for !rounds) !pending)
+  let expired () = match deadline with Some d -> clock () >= d | None -> false in
+  let witness = function
+    | Slot_static_neq -> Some (Array.make (Aig.num_inputs miter) false)
+    | Slot_job { result = Some { Cec.verdict = Cec.Inequivalent cex; _ }; _ } -> Some cex
+    | _ -> None
+  in
+  let crash_reason crashed =
+    let detail =
+      match List.find_map (fun j -> j.last_error) crashed with
+      | Some msg -> ": " ^ msg
+      | None -> ""
     in
-    domains_used := max !domains_used used;
-    incr rounds;
-    let undecided =
-      Array.of_list
-        (List.filter (fun j -> job_undecided j && not (job_crashed j)) (Array.to_list !pending))
-    in
-    pending := undecided;
-    continue :=
-      Array.length undecided > 0
-      && budget <> None
-      && !rounds < max 1 config.max_rounds
-      && not (Array.exists job_refuted jobs)
-  done;
+    Printf.sprintf "%d partition job(s) crashed twice%s" (List.length crashed) detail
+  in
+  let rounds = ref 0 in
+  let domains_used = ref (if Array.length schedule = 0 then 1 else 0) in
+  (* The one budget-escalation loop.  Round [r] first checks the
+     deadline, then attempts the still-undecided jobs at budget and BDD
+     cap [escalation^r] times the initial ones; jobs settled in earlier
+     rounds keep their results.  A counterexample or a stitched
+     certificate ends the run.  Undecided or crashed jobs, and a failed
+     stitch, go on to the next round while budgeted rounds remain, so
+     only the last round's degradation is reported.  Returns the
+     verdict, the degradation, the stitch call's conflicts and whether
+     the deadline cut the run short. *)
+  let rec round r =
+    if expired () then (Cec.Undecided, None, 0, true)
+    else begin
+      if Array.length schedule > 0 then begin
+        Obs.Counter.incr o_rounds;
+        if r > 0 then Obs.Counter.incr o_escalations;
+        let pending = Array.of_list (List.filter job_undecided (Array.to_list schedule)) in
+        let used =
+          Obs.Span.with_ reg "parallel.round" (fun () ->
+              run_round ~num_domains config.engine (budget_for r) (bdd_cap_for r) pending)
+        in
+        domains_used := max !domains_used used;
+        rounds := r + 1
+      end;
+      let last = config.budget = None || r + 1 >= max_rounds in
+      match Array.to_list slots |> List.find_map witness with
+      | Some cex -> (Cec.Inequivalent cex, None, 0, false)
+      | None when Array.exists job_undecided jobs ->
+        if not last then round (r + 1)
+        else
+          let crashed = Array.to_list jobs |> List.filter job_crashed in
+          (Cec.Undecided, (if crashed = [] then None else Some (crash_reason crashed)), 0, false)
+      | None -> (
+        (* Proof stitching is post-verdict work: every partition is
+           already proved.  If it still fails (a lifting bug, or the
+           injected [proof.lift] fault) the honest answer is an
+           uncertified [Undecided], never an [Equivalent] without a
+           checkable certificate. *)
+        match
+          Obs.Span.with_ reg "parallel.stitch" (fun () ->
+              stitch miter diffs formula (Array.to_list jobs))
+        with
+        | cert, stitch_conflicts -> (Cec.Equivalent cert, None, stitch_conflicts, false)
+        | exception e ->
+          Obs.Counter.incr (Obs.Registry.counter reg "parallel.stitch_failures");
+          if not last then round (r + 1)
+          else
+            ( Cec.Undecided,
+              Some (Printf.sprintf "certificate stitching failed: %s" (Printexc.to_string e)),
+              0,
+              false ))
+    end
+  in
+  let verdict, degraded, stitch_conflicts, timed_out = round 0 in
   (* Aggregate in output order — completion order is irrelevant. *)
   let partitions =
     Array.mapi
@@ -380,60 +421,17 @@ let check ?(config = default_config) a b =
             })
       slots
   in
-  let witness = function
-    | Slot_static_neq -> Some (Array.make (Aig.num_inputs miter) false)
-    | Slot_job { result = Some { Cec.verdict = Cec.Inequivalent cex; _ }; _ } -> Some cex
-    | _ -> None
-  in
-  let first_cex = Array.to_list slots |> List.find_map witness in
-  let gave_up =
-    Array.exists (fun p -> match p.status with Gave_up -> true | _ -> false) partitions
-  in
-  let crashed = Array.to_list jobs |> List.filter job_crashed in
-  let crash_reason () =
-    let detail =
-      match List.find_map (fun j -> j.last_error) crashed with
-      | Some msg -> ": " ^ msg
-      | None -> ""
-    in
-    Printf.sprintf "%d partition job(s) crashed twice%s" (List.length crashed) detail
-  in
-  let base_conflicts = Array.fold_left (fun acc j -> acc + j.conflicts) 0 jobs in
-  let base_calls = Array.fold_left (fun acc j -> acc + j.sat_calls) 0 jobs in
-  let verdict, degraded, extra_conflicts, extra_calls =
-    match first_cex with
-    | Some cex -> (Cec.Inequivalent cex, None, 0, 0)
-    | None ->
-      if crashed <> [] then (Cec.Undecided, Some (crash_reason ()), 0, 0)
-      else if gave_up then (Cec.Undecided, None, 0, 0)
-      else begin
-        (* Proof stitching is post-verdict work: every partition is
-           already proved.  If it still fails (a lifting bug, or the
-           injected [proof.lift] fault) the honest answer is an
-           uncertified [Undecided], never an [Equivalent] without a
-           checkable certificate. *)
-        match
-          Obs.Span.with_ reg "parallel.stitch" (fun () ->
-              stitch miter diffs formula (Array.to_list jobs))
-        with
-        | cert, stitch_conflicts -> (Cec.Equivalent cert, None, stitch_conflicts, 1)
-        | exception e ->
-          Obs.Counter.incr (Obs.Registry.counter reg "parallel.stitch_failures");
-          ( Cec.Undecided,
-            Some (Printf.sprintf "certificate stitching failed: %s" (Printexc.to_string e)),
-            0,
-            0 )
-      end
-  in
+  let stitch_calls = match verdict with Cec.Equivalent _ -> 1 | _ -> 0 in
   {
     verdict;
     degraded;
+    timed_out;
     stats =
       {
         partitions;
         domains = !domains_used;
         rounds = !rounds;
-        conflicts = base_conflicts + extra_conflicts;
-        sat_calls = base_calls + extra_calls;
+        conflicts = Array.fold_left (fun acc j -> acc + j.conflicts) stitch_conflicts jobs;
+        sat_calls = Array.fold_left (fun acc j -> acc + j.sat_calls) stitch_calls jobs;
       };
   }

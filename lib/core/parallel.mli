@@ -29,13 +29,15 @@ type config = {
   budget : int option;
       (** initial per-partition conflict budget; [None] = one
           unbudgeted attempt per partition *)
-  escalation : int;  (** budget multiplier between retry rounds *)
-  max_rounds : int;
-      (** total budgeted attempts per partition before giving up *)
+  escalation : int;  (** budget multiplier between retry rounds (min 2) *)
+  max_rounds : int;  (** budgeted rounds before giving up (min 1) *)
 }
 
 (** Sweeping partitions on [Domain.recommended_domain_count] domains,
-    no budget ([max_rounds] irrelevant until a budget is set). *)
+    no budget, and the one escalation schedule: 4x between at most 4
+    rounds ([escalation] and [max_rounds] are irrelevant until a budget
+    is set).  The service's [Service.Engine.default_config] derives
+    from it. *)
 val default_config : config
 
 type status =
@@ -47,13 +49,14 @@ type status =
       (** same disagreement cone as the given earlier output; solved
           once, cost attributed to that partition *)
   | Crashed
-      (** the partition's job raised on its attempt {e and} its one
-          supervised retry; the run degrades to [Undecided] *)
+      (** in the last round the partition's job ran, it raised on its
+          attempt {e and} its one supervised retry; the run degrades to
+          [Undecided] *)
 
 type partition = {
   output : int;  (** output-pair index *)
   cone_ands : int;  (** AND nodes in the partition's fanin cone *)
-  attempts : int;  (** budgeted attempts used *)
+  attempts : int;  (** attempts that returned, one per round it ran *)
   conflicts : int;
   sat_calls : int;
   status : status;
@@ -62,7 +65,9 @@ type partition = {
 type stats = {
   partitions : partition array;  (** one per output pair, in order *)
   domains : int;  (** worker domains actually used *)
-  rounds : int;  (** scheduling rounds executed (>= 1 with any job) *)
+  rounds : int;
+      (** scheduling rounds executed: >= 1 with any job unless the
+          deadline had passed before the first one *)
   conflicts : int;  (** total, including the final stitch call *)
   sat_calls : int;
 }
@@ -71,12 +76,15 @@ type report = {
   verdict : Cec.verdict;
   stats : stats;
   degraded : string option;
-      (** [Some reason] when the run could not deliver what it should
-          have: a partition job crashed twice (status [Crashed]), or
-          every partition was proved but certificate stitching failed.
-          The verdict is then [Undecided] — degraded runs never claim
-          an uncertified [Equivalent].  [None] for clean runs,
-          including ordinary budget-exhaustion give-ups. *)
+      (** [Some reason] when the last round could not deliver what it
+          should have: a partition job crashed twice (status
+          [Crashed]), or every partition was proved but certificate
+          stitching failed.  The verdict is then [Undecided] — degraded
+          runs never claim an uncertified [Equivalent].  [None] for
+          clean runs, including ordinary budget-exhaustion give-ups,
+          timeouts, and runs whose earlier degraded rounds a later
+          round recovered from. *)
+  timed_out : bool;  (** [Undecided] because the deadline passed *)
 }
 
 (** Check two circuits with the same interface.  [Equivalent]
@@ -84,13 +92,33 @@ type report = {
     ({!Cnf.Tseitin.miter_formula} of {!Aig.Miter.build}), so
     {!Certify.validate_against} applies as-is.  An [Inequivalent]
     witness is the lowest-indexed differing output's counterexample.
-    The verdict is [Undecided] only when some partition stayed
-    undecided after [max_rounds] budget escalations (or crashed, see
-    [degraded]) and no partition was refuted.
+    The verdict is [Undecided] only when no partition was refuted and
+    some partition stayed undecided after [max_rounds] budget
+    escalations (or crashed, see [degraded]), or the deadline passed.
+
+    Escalation: the miter, its CNF and the partition cones are built
+    once; each round attempts only the partitions still undecided, at
+    [escalation^k] times the initial conflict budget (and, for the
+    [Bdd_first]/[Hybrid] portfolios, the BDD node cap) in round [k].
+    Partitions settled earlier keep their results.
+
+    Deadline: [deadline] is an absolute instant on [clock] (default
+    {!Obs.Clock.now}), checked before every round, the first included.
+    Once it has passed, no further round starts and the result is
+    [Undecided] with [timed_out = true]; a deadline that has passed
+    before the call solves nothing (only the miter and cones are
+    built).  A round already running is
+    not interrupted, so without a budget (one unbudgeted round) the
+    deadline is only enforced before it starts.  Tests inject a fake
+    [clock] to make deadline behaviour deterministic.
 
     Supervision: a job whose engine raises — including the injected
     [worker.crash] {!Fault} — is retried once; a second failure marks
-    its partition [Crashed] and degrades the run instead of raising
-    out of [check] or deadlocking the pool.
+    its partition [Crashed] for that round instead of raising out of
+    [check] or deadlocking the pool.  Crashed partitions, like a failed
+    stitch, are tried again in the next round while budgeted rounds
+    remain; a crash or stitch failure in the last round degrades the
+    run.
     @raise Invalid_argument if interfaces differ. *)
-val check : ?config:config -> Aig.t -> Aig.t -> report
+val check :
+  ?clock:(unit -> float) -> ?deadline:float -> ?config:config -> Aig.t -> Aig.t -> report

@@ -14,4 +14,3 @@ module Hint_check = Hint_check
 module Rup = Rup
 module Compress = Compress
 module Interpolant = Interpolant
-module Core = Core

@@ -1,80 +1,26 @@
 module Cec = Cec_core.Cec
-module Sweep = Cec_core.Sweep
 module Parallel = Cec_core.Parallel
 
-type config = {
-  jobs : int;
-  engine : Cec.engine;
-  budget : int option;
-  escalation : int;
-  max_rounds : int;
-}
+type config = Parallel.config
 
 let default_config =
-  {
-    jobs = 1;
-    engine = Cec.Sweeping Sweep.default_config;
-    budget = Some 50_000;
-    escalation = 4;
-    max_rounds = 4;
-  }
+  { Parallel.default_config with Parallel.num_domains = 1; budget = Some 50_000 }
 
 type result = {
   verdict : Cec.verdict;
-  conflicts : int;
-  sat_calls : int;
+  stats : Parallel.stats;
   rounds : int;
   timed_out : bool;
   degraded : string option;
 }
 
 let solve ?(clock = Unix.gettimeofday) ?deadline config golden revised =
-  let expired () =
-    match deadline with Some d -> clock () >= d | None -> false
-  in
-  let escalation = max 2 config.escalation in
-  let max_rounds = max 1 config.max_rounds in
-  let conflicts = ref 0 and sat_calls = ref 0 and rounds = ref 0 in
-  let finish ?degraded verdict timed_out =
-    {
-      verdict;
-      conflicts = !conflicts;
-      sat_calls = !sat_calls;
-      rounds = !rounds;
-      timed_out;
-      degraded;
-    }
-  in
-  let rec round n budget =
-    if expired () then finish Cec.Undecided true
-    else begin
-      let pconfig =
-        {
-          Parallel.num_domains = max 1 config.jobs;
-          engine = config.engine;
-          budget;
-          escalation;
-          max_rounds = 1;
-        }
-      in
-      let report = Parallel.check ~config:pconfig golden revised in
-      incr rounds;
-      conflicts := !conflicts + report.Parallel.stats.Parallel.conflicts;
-      sat_calls := !sat_calls + report.Parallel.stats.Parallel.sat_calls;
-      match report.Parallel.verdict with
-      | (Cec.Equivalent _ | Cec.Inequivalent _) as verdict -> finish verdict false
-      | Cec.Undecided -> (
-        (* A degraded round (crashed job, failed stitch) is retried on
-           the next escalation round like any undecided one — transient
-           faults recover on a clean retry.  Only when the rounds run
-           out does the last degradation reason surface to the caller,
-           so a persistent fault yields an explicit uncertified answer
-           instead of a silent give-up. *)
-        match budget with
-        | None -> finish ?degraded:report.Parallel.degraded Cec.Undecided false
-        | Some b ->
-          if n + 1 >= max_rounds then finish ?degraded:report.Parallel.degraded Cec.Undecided false
-          else round (n + 1) (Some (b * escalation)))
-    end
-  in
-  round 0 config.budget
+  let report = Parallel.check ~clock ?deadline ~config golden revised in
+  let stats = report.Parallel.stats in
+  {
+    verdict = report.Parallel.verdict;
+    stats;
+    rounds = stats.Parallel.rounds;
+    timed_out = report.Parallel.timed_out;
+    degraded = report.Parallel.degraded;
+  }

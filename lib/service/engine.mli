@@ -1,53 +1,42 @@
-(** The service's decision procedure: requests are dispatched onto the
-    partitioned {!Cec_core.Parallel} domain pool, one scheduling round
-    at a time, with the conflict budget escalated geometrically between
-    rounds and a per-request deadline checked at every round boundary.
-
-    A round is one [Parallel.check] call with [max_rounds = 1]; keeping
-    the rounds out here (instead of letting [Parallel] escalate
-    internally) is what makes deadlines enforceable: an expired
-    deadline between rounds aborts with a timeout instead of burning
-    the remaining budget.  The trade-off is that partitions settled in
-    an earlier round are re-solved in later ones; budgets grow
-    geometrically, so the waste is bounded by a constant factor.
+(** The service's decision procedure: one {!Cec_core.Parallel.check}
+    call per request.  [Parallel] owns the whole budget-escalation
+    loop — partitions settled in one round keep their results, the
+    conflict budget and BDD cap grow geometrically between rounds, and
+    the per-request deadline is checked before every round — so
+    [cec --jobs], [serve], [batch] and [route] all run the same loop.
 
     With [budget = None] the single round runs unbudgeted — it always
     decides, but a deadline can then only be enforced before it
     starts. *)
 
-type config = {
-  jobs : int;  (** worker domains per solve (the [Parallel] pool size) *)
-  engine : Cec_core.Cec.engine;  (** per-partition decision engine *)
-  budget : int option;
-      (** initial per-partition conflict budget; [None] = one
-          unbudgeted round *)
-  escalation : int;  (** budget multiplier between rounds (min 2) *)
-  max_rounds : int;  (** budgeted rounds before giving up (min 1) *)
-}
+(** The [Parallel] configuration: [num_domains] is the pool size per
+    solve. *)
+type config = Cec_core.Parallel.config
 
-(** Sweeping partitions, one domain, 50k initial conflicts, 4x
-    escalation over at most 4 rounds. *)
+(** [Parallel]'s schedule on one domain with a 50k initial conflict
+    budget. *)
 val default_config : config
 
 type result = {
   verdict : Cec_core.Cec.verdict;
-  conflicts : int;  (** total across all rounds *)
-  sat_calls : int;
-  rounds : int;  (** rounds actually executed *)
+  stats : Cec_core.Parallel.stats;
+      (** per-partition attempts and statuses; conflicts and SAT calls
+          summed over all rounds *)
+  rounds : int;  (** rounds actually executed ([stats.rounds]) *)
   timed_out : bool;  (** [Undecided] because the deadline expired *)
   degraded : string option;
       (** [Some reason] when the final round was degraded (a partition
           job crashed twice, or certificate stitching failed — see
           {!Cec_core.Parallel.report}); the verdict is then an
           uncertified [Undecided].  Earlier degraded rounds that a
-          later clean round recovered from are not reported. *)
+          later round recovered from are not reported. *)
 }
 
 (** [solve ?clock ?deadline config golden revised] decides the pair.
     [deadline] is an absolute instant on [clock] (default
     [Unix.gettimeofday]); when it has passed before any round starts,
     the result is an immediate [Undecided] with [timed_out = true] and
-    no work done.  Tests inject a fake [clock] to make deadline
+    no solving done.  Tests inject a fake [clock] to make deadline
     behaviour deterministic.
     @raise Invalid_argument if the interfaces differ. *)
 val solve : ?clock:(unit -> float) -> ?deadline:float -> config -> Aig.t -> Aig.t -> result

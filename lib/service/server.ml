@@ -202,10 +202,10 @@ let process st job =
           ~cached:false ~ms;
         log st "solved %s (%s, %d conflicts, %.2fms)" (Key.to_hex job.key)
           (status_of_verdict ?degraded ~timed_out:result.Engine.timed_out result.Engine.verdict)
-          result.Engine.conflicts ms;
+          result.Engine.stats.Cec_core.Parallel.conflicts ms;
         send job.fd
           (check_response ?degraded ~key:job.key ~cached:false ~ms
-             ~conflicts:result.Engine.conflicts ~timed_out:result.Engine.timed_out
+             ~conflicts:result.Engine.stats.Cec_core.Parallel.conflicts ~timed_out:result.Engine.timed_out
              result.Engine.verdict))
 
 (* Worker supervision: a job whose [process] raises is re-enqueued

@@ -20,7 +20,7 @@
     A request's deadline (its [TIMEOUT_MS], or the configured default)
     travels with the job: a job whose deadline expired while queued is
     cancelled without solving, and an in-flight solve re-checks the
-    deadline at every budget-escalation round boundary.
+    deadline before every budget-escalation round.
 
     On SIGINT/SIGTERM — or a [shutdown] request — the server stops
     accepting, {e drains} the queue (every accepted request is still

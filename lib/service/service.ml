@@ -3,7 +3,8 @@
     [Service.Store] is the content-addressed certificate store,
     [Service.Server] the Unix-domain-socket daemon ([cec_tool serve]),
     [Service.Batch] the socketless batch mode, [Service.Engine] the
-    deadline/escalation solve loop over {!Cec_core.Parallel}. *)
+    solve step: one {!Cec_core.Parallel.check} call, whose loop owns
+    budget escalation and the request deadline. *)
 
 module Addr = Addr
 module Key = Key

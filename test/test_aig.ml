@@ -266,7 +266,15 @@ let test_aiger_errors () =
   (* latches *)
   expect_error "aag 1 2 0 0 0\n2\n4\n";
   (* var out of range *)
-  expect_error "aag 2 1 0 1 1\n2\n4\n4 6 2\n" (* fanin used before definition *)
+  expect_error "aag 2 1 0 1 1\n2\n4\n4 6 2\n";
+  (* fanin used before definition *)
+  expect_error "aag 4000000000000 1 0 1 0\n2\n2\n";
+  (* a variable index no 30-byte input can hold (used to die with
+     Out_of_memory) *)
+  expect_error "aag 3 -1 0 1 0\n2\n";
+  (* negative count *)
+  expect_error "aag 3 1 0 4611686018427387903 4611686018427387903\n2\n2\n"
+(* counts whose sum overflows *)
 
 let test_aiger_file_io () =
   let g = Circuits.Adder.ripple_carry 3 in
@@ -379,7 +387,15 @@ let test_binary_aiger_errors () =
   in
   expect "aig 3 1 0 1 1\n2\n";
   (* truncated AND section *)
-  expect "aig 5 1 0 1 1\n2\n\x01\x00" (* M <> I + A *)
+  expect "aig 5 1 0 1 1\n2\n\x01\x00";
+  (* M <> I + A *)
+  expect "aig 4000000000000 4000000000000 0 0 0\n";
+  (* inputs no input this short can hold: binary inputs take no bytes
+     (used to die with Out_of_memory) *)
+  expect "aig 4000000000000 0 0 1 4000000000000\n2\n";
+  (* ANDs no 40-byte input can hold (used to die with Out_of_memory) *)
+  expect "aig 2 1 0 -1 1\n"
+(* negative count *)
 
 let binary_suites =
   [

@@ -177,6 +177,42 @@ let test_engine_propagates_degradation () =
   Alcotest.(check bool) "reason surfaced" true (result.Engine.degraded <> None);
   Alcotest.(check bool) "not a timeout" false result.Engine.timed_out
 
+let test_engine_recovers_crash_next_round () =
+  (* Under this seeded schedule one of the pair's two jobs crashes on
+     its round-0 attempt and on the supervised retry.  The job stays
+     pending and runs again in round 1, where it proves: the run ends
+     clean, with no degradation left over from round 0.  Without faults
+     the pair settles in one round, so the second round is the
+     recovery. *)
+  let golden, revised = small_pair () in
+  Alcotest.(check int) "one round without faults" 1
+    (Engine.solve Engine.default_config golden revised).Engine.rounds;
+  let reg = Obs.Registry.create () in
+  let result =
+    Obs.with_ambient reg (fun () ->
+        Fault.with_spec (spec_exn "worker.crash:0.2@seed=14") (fun () ->
+            Engine.solve Engine.default_config golden revised))
+  in
+  let counter name = try List.assoc name (Obs.Registry.counters reg) with Not_found -> 0 in
+  Alcotest.(check int) "crashed twice in round 0" 2 (counter "parallel.job_crashes");
+  Alcotest.(check int) "one supervised retry" 1 (counter "parallel.job_retries");
+  Alcotest.(check int) "rescheduled in round 1" 2 result.Engine.rounds;
+  Alcotest.(check (option string)) "clean, not degraded" None result.Engine.degraded;
+  Array.iter
+    (fun p ->
+      match p.Parallel.status with
+      | Parallel.Proved -> Alcotest.(check int) "one attempt returned" 1 p.Parallel.attempts
+      | Parallel.Trivial | Parallel.Shared _ -> ()
+      | Parallel.Refuted | Parallel.Gave_up | Parallel.Crashed ->
+        Alcotest.fail "every partition must settle")
+    result.Engine.stats.Parallel.partitions;
+  match result.Engine.verdict with
+  | Cec.Equivalent cert -> (
+    match Cec_core.Certify.validate_against cert golden revised with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "certificate rejected: %a" Cec_core.Certify.pp_error e)
+  | Cec.Inequivalent _ | Cec.Undecided -> Alcotest.fail "recovered run must prove the pair"
+
 (* --- store crash recovery --- *)
 
 let solved_pair_and_key () =
@@ -685,6 +721,8 @@ let suites =
         Alcotest.test_case "clean run not degraded" `Quick test_parallel_clean_run_not_degraded;
         Alcotest.test_case "engine propagates degradation" `Quick
           test_engine_propagates_degradation;
+        Alcotest.test_case "engine recovers a crash next round" `Quick
+          test_engine_recovers_crash_next_round;
         Alcotest.test_case "batch uncertified not cached" `Quick test_batch_uncertified_not_cached;
         Alcotest.test_case "metrics robustness counters" `Quick test_metrics_robustness_counters;
       ] );

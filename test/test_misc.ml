@@ -1,5 +1,5 @@
 (* Tests for the later additions: misc circuit generators, BLIF I/O,
-   NPN canonicalization, and unsat-core extraction. *)
+   and NPN canonicalization. *)
 
 module Rng = Support.Rng
 module Npn = Synth.Npn
@@ -177,41 +177,6 @@ let test_npn_class_invariance () =
     Alcotest.(check int64) "same class" canon canon'
   done
 
-(* --- unsat cores --- *)
-
-let is_unsat f =
-  let s = Sat.Solver.create () in
-  Sat.Solver.add_formula s f;
-  match Sat.Solver.solve s with
-  | Sat.Solver.Unsat _ -> true
-  | Sat.Solver.Sat _ -> false
-  | Sat.Solver.Unknown | Sat.Solver.Unsat_assuming _ -> false
-
-let test_core_extraction () =
-  let lit v = Aig.Lit.of_var v and nlit v = Aig.Lit.neg (Aig.Lit.of_var v) in
-  let f = Cnf.Formula.create () in
-  (* An unsat kernel over x0,x1 plus irrelevant satisfiable clutter. *)
-  List.iter
-    (fun lits -> ignore (Cnf.Formula.add_list f lits))
-    [
-      [ lit 0; lit 1 ]; [ nlit 0; lit 1 ]; [ lit 0; nlit 1 ]; [ nlit 0; nlit 1 ];
-      [ lit 2; lit 3 ]; [ nlit 4 ]; [ lit 5; nlit 2 ];
-    ]
-  ;
-  let s = Sat.Solver.create () in
-  Sat.Solver.add_formula s f;
-  match Sat.Solver.solve s with
-  | Sat.Solver.Unsat root ->
-    let core = Proof.Core.of_proof f (Sat.Solver.proof s) ~root in
-    Alcotest.(check bool) "core within kernel" true (List.for_all (fun i -> i < 4) core);
-    let minimal = Proof.Core.minimize ~is_unsat f core in
-    Alcotest.(check int) "kernel is the MUS" 4 (List.length minimal);
-    (* the minimal core must itself be unsat *)
-    let sub = Cnf.Formula.create () in
-    List.iter (fun i -> ignore (Cnf.Formula.add sub (Cnf.Formula.clause f i))) minimal;
-    Alcotest.(check bool) "minimal core unsat" true (is_unsat sub)
-  | _ -> Alcotest.fail "expected UNSAT"
-
 let suites =
   [
     ( "misc",
@@ -227,6 +192,5 @@ let suites =
         Alcotest.test_case "npn and/or/nand" `Quick test_npn_identity_and_negation;
         Alcotest.test_case "npn transform witness" `Quick test_npn_transform_is_witness;
         Alcotest.test_case "npn class invariance" `Quick test_npn_class_invariance;
-        Alcotest.test_case "unsat core + minimize" `Quick test_core_extraction;
       ] );
   ]

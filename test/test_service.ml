@@ -5,6 +5,7 @@
 
 module Cec = Cec_core.Cec
 module Sweep = Cec_core.Sweep
+module Parallel = Cec_core.Parallel
 module Certify = Cec_core.Certify
 module Key = Service.Key
 module Protocol = Service.Protocol
@@ -451,7 +452,7 @@ let test_engine_deadline_expires_between_rounds () =
   let config =
     {
       Engine.default_config with
-      Engine.engine = Cec.Monolithic;
+      Parallel.engine = Cec.Monolithic;
       budget = Some 1;
       escalation = 2;
       max_rounds = 10;
@@ -467,7 +468,7 @@ let test_engine_budget_exhaustion () =
   let config =
     {
       Engine.default_config with
-      Engine.engine = Cec.Monolithic;
+      Parallel.engine = Cec.Monolithic;
       budget = Some 1;
       escalation = 2;
       max_rounds = 1;
@@ -481,7 +482,7 @@ let test_engine_budget_exhaustion () =
 let test_engine_escalation_decides () =
   let golden, revised, _ = equivalent_pair () in
   let config =
-    { Engine.default_config with Engine.budget = Some 1; escalation = 8; max_rounds = 6 }
+    { Engine.default_config with Parallel.budget = Some 1; escalation = 8; max_rounds = 6 }
   in
   let result = Engine.solve config golden revised in
   (match result.Engine.verdict with
@@ -492,6 +493,42 @@ let test_engine_escalation_decides () =
   | Cec.Inequivalent _ -> Alcotest.fail "spurious counterexample"
   | Cec.Undecided -> Alcotest.fail "escalation failed to decide a small pair");
   Alcotest.(check bool) "ran at least one round" true (result.Engine.rounds >= 1)
+
+let test_engine_keeps_settled_partitions () =
+  (* With a budget of one conflict the low output bits settle in round
+     0 while the carry chain escalates.  The service path must keep the
+     settled partitions (one attempt each), count every output pair
+     once per request, and count one escalation per extra round. *)
+  let golden = Circuits.Adder.ripple_carry 8 and revised = Circuits.Adder.carry_lookahead 8 in
+  let reg = Obs.Registry.create () in
+  let result =
+    Obs.with_ambient reg (fun () ->
+        Engine.solve { Engine.default_config with Parallel.budget = Some 1 } golden revised)
+  in
+  let counter name = try List.assoc name (Obs.Registry.counters reg) with Not_found -> 0 in
+  let partitions = result.Engine.stats.Parallel.partitions in
+  Alcotest.(check bool) "escalated" true (result.Engine.rounds > 1);
+  Alcotest.(check int) "budget_escalations = rounds - 1" (result.Engine.rounds - 1)
+    (counter "parallel.budget_escalations");
+  Alcotest.(check int) "partitions = output pairs" (Aig.num_outputs golden)
+    (counter "parallel.partitions");
+  Alcotest.(check bool) "a partition proved in round 0 has one attempt" true
+    (Array.exists (fun p -> p.Parallel.status = Parallel.Proved && p.Parallel.attempts = 1) partitions);
+  Alcotest.(check bool) "another partition escalated" true
+    (Array.exists (fun p -> p.Parallel.attempts > 1) partitions);
+  match result.Engine.verdict with
+  | Cec.Equivalent cert -> (
+    (match Certify.validate_against cert golden revised with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "certificate rejected: %a" Certify.pp_error e);
+    let formula = Cnf.Tseitin.miter_formula (Aig.Miter.build golden revised) in
+    let hinted =
+      Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof ~root:cert.Cec.root
+    in
+    match Proof.Hint_check.check ~formula hinted with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "hinted certificate rejected: %a" Proof.Hint_check.pp_error e)
+  | Cec.Inequivalent _ | Cec.Undecided -> Alcotest.fail "escalation failed to prove the adders"
 
 (* --- batch mode --- *)
 
@@ -787,6 +824,8 @@ let suites =
         Alcotest.test_case "fake clock expires between rounds" `Quick
           test_engine_deadline_expires_between_rounds;
         Alcotest.test_case "budget exhaustion stays sound" `Quick test_engine_budget_exhaustion;
+        Alcotest.test_case "escalation keeps settled partitions" `Quick
+          test_engine_keeps_settled_partitions;
         Alcotest.test_case "escalation decides small pairs" `Quick
           test_engine_escalation_decides;
       ] );

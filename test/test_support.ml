@@ -1,7 +1,6 @@
-(* Tests for the support library: int/float vectors and the PRNG. *)
+(* Tests for the support library: int vectors and the PRNG. *)
 
 module Veci = Support.Veci
-module Vecf = Support.Vecf
 module Rng = Support.Rng
 
 let test_veci_push_pop () =
@@ -41,15 +40,6 @@ let test_veci_iter_fold () =
   let copy = Veci.copy v in
   Veci.set copy 0 100;
   Alcotest.(check int) "copy is independent" 1 (Veci.get v 0)
-
-let test_vecf () =
-  let v = Vecf.create () in
-  Vecf.push v 1.5;
-  Vecf.grow v 3 0.5;
-  Vecf.scale v 2.0;
-  Alcotest.(check (float 1e-9)) "scaled first" 3.0 (Vecf.get v 0);
-  Alcotest.(check (float 1e-9)) "scaled grown" 1.0 (Vecf.get v 2);
-  Alcotest.(check int) "size" 3 (Vecf.size v)
 
 let test_rng_deterministic () =
   let a = Rng.create 123 and b = Rng.create 123 in
@@ -99,7 +89,6 @@ let suites =
         Alcotest.test_case "veci grow/shrink" `Quick test_veci_grow_shrink;
         Alcotest.test_case "veci sort/swap" `Quick test_veci_sort_swap;
         Alcotest.test_case "veci iter/fold/copy" `Quick test_veci_iter_fold;
-        Alcotest.test_case "vecf" `Quick test_vecf;
         Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
         Alcotest.test_case "rng distribution" `Quick test_rng_distribution;

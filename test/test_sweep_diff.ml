@@ -273,7 +273,7 @@ let test_stack_smoke_under_mode () =
   | Cec.Equivalent cert -> check_certificate ~what:"parallel-smoke" golden revised cert
   | Cec.Inequivalent _ | Cec.Undecided -> Alcotest.fail "parallel smoke failed");
   let econfig =
-    { Service.Engine.default_config with Service.Engine.jobs = 2; engine = engine ci_mode }
+    { Service.Engine.default_config with Parallel.num_domains = 2; engine = engine ci_mode }
   in
   let result = Service.Engine.solve econfig golden revised in
   match result.Service.Engine.verdict with
