@@ -361,38 +361,6 @@ let t5 () =
     ~columns:[ "case"; "ANDs before"; "ANDs after"; "reduction"; "merges"; "sat calls"; "ms" ]
     ~rows
 
-(* --- F5: proof compression by derivation sharing --- *)
-
-let f5 () =
-  let rows =
-    List.map
-      (fun case ->
-        let sweep, _ = check_case sweeping_engine case in
-        let cert = cert_of sweep in
-        let (kept, original), t =
-          time (fun () -> Proof.Compress.sharing_gain cert.Cec.proof ~root:cert.Cec.root)
-        in
-        let shared, sroot = Proof.Compress.share cert.Cec.proof ~root:cert.Cec.root in
-        let ok =
-          match Proof.Checker.check shared ~root:sroot ~formula:cert.Cec.formula () with
-          | Ok _ -> "ok"
-          | Error _ -> "FAIL"
-        in
-        [
-          case.Circuits.Suite.name;
-          string_of_int original;
-          string_of_int kept;
-          Printf.sprintf "%.1f%%"
-            (100.0 *. float_of_int (original - kept) /. float_of_int (max 1 original));
-          Tables.fmt_ms t;
-          ok;
-        ])
-      Circuits.Suite.default
-  in
-  Tables.print ~title:"F5: proof compression by derivation sharing (sweeping proofs)"
-    ~columns:[ "case"; "cone nodes"; "after sharing"; "shared away"; "ms"; "ok" ]
-    ~rows
-
 (* --- T7: certified synthesis pipeline (restructure -> cutsweep -> fraig) --- *)
 
 let t7 () =
@@ -752,109 +720,6 @@ let p3 () =
       output_string oc (Obs.Export.stats_json merged));
   Printf.printf "wrote BENCH_p3.json (%d counters)\n"
     (List.length (Obs.Registry.counters merged))
-
-let p4 () =
-  (* Certificate formats over the p1 workload: for every suite case,
-     solve once (4-domain partitioned check), then export the same
-     refutation as an ASCII trace and as a CECB binary certificate and
-     validate each with its own checker — parse + materialized
-     [Checker.check] for the trace, one streaming bounded-memory pass
-     for the binary.  Bytes, check times and the streaming peak live
-     set go to BENCH_p4.json. *)
-  let merged = Obs.Registry.create () in
-  let config = { Parallel.default_config with Parallel.num_domains = 4 } in
-  let total_ascii = ref 0 and total_bin = ref 0 in
-  let rows =
-    List.map
-      (fun case ->
-        let golden = case.Circuits.Suite.golden () and revised = case.Circuits.Suite.revised () in
-        let reg = Obs.Registry.create () in
-        Obs.with_ambient reg (fun () ->
-            let report = Parallel.check ~config golden revised in
-            let cert =
-              match report.Parallel.verdict with
-              | Cec.Equivalent cert -> cert
-              | Cec.Inequivalent _ | Cec.Undecided -> failwith "benchmark case not proved (bug)"
-            in
-            let proof = cert.Cec.proof and root = cert.Cec.root in
-            let formula = cert.Cec.formula in
-            let ascii, t_ascii_enc =
-              time (fun () ->
-                  let trimmed, troot = Proof.Trim.cone proof ~root in
-                  Proof.Export.trace_to_string trimmed ~root:troot)
-            in
-            let bin, t_bin_enc = time (fun () -> Proof.Binfmt.encode proof ~root) in
-            let chains_checked, t_ascii_chk =
-              time (fun () ->
-                  let p, r = Proof.Export.trace_of_string ascii in
-                  match Proof.Checker.check p ~root:r ~formula () with
-                  | Ok chains -> chains
-                  | Error e -> failwith (Format.asprintf "ascii check failed: %a" Proof.Checker.pp_error e))
-            in
-            let st, t_bin_chk =
-              time (fun () ->
-                  match Proof.Stream_check.check ~formula bin with
-                  | Ok st -> st
-                  | Error e ->
-                    failwith (Format.asprintf "binary check failed: %a" Proof.Stream_check.pp_error e))
-            in
-            if st.Proof.Stream_check.chains <> chains_checked then
-              failwith "checkers disagree on chain count (bug)";
-            let ratio = float_of_int (String.length ascii) /. float_of_int (String.length bin) in
-            total_ascii := !total_ascii + String.length ascii;
-            total_bin := !total_bin + String.length bin;
-            let gauge suffix v =
-              Obs.Gauge.set
-                (Obs.Registry.gauge merged ("bench.p4." ^ case.Circuits.Suite.name ^ suffix))
-                v
-            in
-            gauge "_ascii_bytes" (float_of_int (String.length ascii));
-            gauge "_bin_bytes" (float_of_int (String.length bin));
-            gauge "_ratio" ratio;
-            gauge "_ascii_check_ms" (1000.0 *. t_ascii_chk);
-            gauge "_bin_check_ms" (1000.0 *. t_bin_chk);
-            gauge "_peak_live" (float_of_int st.Proof.Stream_check.peak_live);
-            Obs.Registry.merge_into ~into:merged reg;
-            [
-              case.Circuits.Suite.name;
-              string_of_int (String.length ascii);
-              string_of_int (String.length bin);
-              Printf.sprintf "%.2fx" ratio;
-              Tables.fmt_ms (t_ascii_enc +. t_bin_enc);
-              Tables.fmt_ms t_ascii_chk;
-              Tables.fmt_ms t_bin_chk;
-              string_of_int st.Proof.Stream_check.chains;
-              string_of_int st.Proof.Stream_check.peak_live;
-            ]))
-      Circuits.Suite.default
-  in
-  Tables.print
-    ~title:
-      "P4: certificate formats (ASCII trace vs CECB binary) over the p1 workload (4 domains)"
-    ~columns:
-      [ "case"; "ascii B"; "bin B"; "ratio"; "enc ms"; "ascii chk"; "bin chk"; "chains"; "peak live" ]
-    ~rows;
-  let total_ratio = float_of_int !total_ascii /. float_of_int !total_bin in
-  Obs.Gauge.set (Obs.Registry.gauge merged "bench.p4.total_ascii_bytes") (float_of_int !total_ascii);
-  Obs.Gauge.set (Obs.Registry.gauge merged "bench.p4.total_bin_bytes") (float_of_int !total_bin);
-  Obs.Gauge.set (Obs.Registry.gauge merged "bench.p4.total_ratio") total_ratio;
-  Printf.printf "total: ascii %d B, binary %d B (%.2fx smaller)\n" !total_ascii !total_bin
-    total_ratio;
-  (* Acceptance: streaming must genuinely beat materializing — across
-     the workload the live high-water mark (gauges merge by max) stays
-     strictly below the chain total (counters merge by sum).  Both come
-     from the lib/obs registry the streaming checker feeds. *)
-  let peak =
-    try int_of_float (List.assoc "proof.stream.peak_live" (Obs.Registry.gauges merged))
-    with Not_found -> 0
-  and chain_total =
-    try List.assoc "proof.stream.chains" (Obs.Registry.counters merged) with Not_found -> 0
-  in
-  Printf.printf "streaming: peak live %d clauses vs %d chains checked (%s)\n" peak chain_total
-    (if peak < chain_total then "bounded-memory OK" else "NOT below chain count");
-  Out_channel.with_open_text "BENCH_p4.json" (fun oc ->
-      output_string oc (Obs.Export.stats_json merged));
-  Printf.printf "wrote BENCH_p4.json (%d gauges)\n" (List.length (Obs.Registry.gauges merged))
 
 (* --- P5: availability under injected faults --- *)
 
@@ -1618,13 +1483,12 @@ let p8 () =
   (* Check-vs-solve over the p1 workload: for every suite case, solve
      once (4-domain partitioned check) with the wall time recorded,
      export the refutation as a hinted CECB v3 certificate carrying
-     the prover's partition boundaries, and re-validate it three ways:
-     the searching streaming checker, the search-free hinted checker,
-     and the hinted checker over 4 domains.  Acceptance: on every row
-     the hinted check is faster than the solve, the hinted checker
-     performs zero search (hints_followed = steps), and the hinted
-     peak live set never exceeds the streaming peak.  Gauges go to
-     BENCH_p8.json. *)
+     the prover's partition boundaries, and re-validate it with the
+     search-free hinted checker, sequentially and over 4 domains.
+     Acceptance: on every row the hinted check is faster than the
+     solve, the hinted checker performs zero search (hints_followed =
+     steps), and its stats do not depend on the job count.  Gauges go
+     to BENCH_p8.json. *)
   let merged = Obs.Registry.create () in
   let config = { Parallel.default_config with Parallel.num_domains = 4 } in
   let violations = ref [] in
@@ -1646,14 +1510,6 @@ let p8 () =
                   Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
                     ~root:cert.Cec.root)
             in
-            let stream_st, t_stream =
-              time (fun () ->
-                  match Proof.Stream_check.check ~formula bin with
-                  | Ok st -> st
-                  | Error e ->
-                    failwith
-                      (Format.asprintf "stream check failed: %a" Proof.Stream_check.pp_error e))
-            in
             let hint ~jobs =
               time (fun () ->
                   match Proof.Hint_check.check ~formula ~jobs bin with
@@ -1667,8 +1523,6 @@ let p8 () =
             let h4, t_hint4 = hint ~jobs:4 in
             if h1.Proof.Hint_check.hints_followed <> h1.Proof.Hint_check.steps then
               failwith "hinted checker fell back to search (bug)";
-            if h1.Proof.Hint_check.peak_live > stream_st.Proof.Stream_check.peak_live then
-              failwith "hinted peak live exceeds the streaming peak (bug)";
             if h1 <> h4 then failwith "check stats depend on jobs (bug)";
             let t_hint = Float.min t_hint1 t_hint4 in
             if t_hint >= t_solve then
@@ -1680,7 +1534,6 @@ let p8 () =
                 v
             in
             gauge "_solve_ms" (1000.0 *. t_solve);
-            gauge "_stream_check_ms" (1000.0 *. t_stream);
             gauge "_hint_check_ms" (1000.0 *. t_hint1);
             gauge "_hint_check_j4_ms" (1000.0 *. t_hint4);
             gauge "_check_speedup" speedup;
@@ -1692,7 +1545,6 @@ let p8 () =
             [
               case.Circuits.Suite.name;
               Tables.fmt_ms t_solve;
-              Tables.fmt_ms t_stream;
               Tables.fmt_ms t_hint1;
               Tables.fmt_ms t_hint4;
               string_of_int h1.Proof.Hint_check.shards;
@@ -1707,8 +1559,7 @@ let p8 () =
       "P8: hinted certificate checking vs solving (CECB v3, prover boundaries, 4 domains)"
     ~columns:
       [
-        "case"; "solve"; "stream chk"; "hint chk"; "hint j4"; "shards"; "steps"; "peak live";
-        "speedup";
+        "case"; "solve"; "hint chk"; "hint j4"; "shards"; "steps"; "peak live"; "speedup";
       ]
     ~rows;
   (* Acceptance: re-checking a hinted certificate must be cheaper than
@@ -1939,10 +1790,6 @@ let bechamel_tests () =
     Test.make ~name:"t5-fraig"
       (Staged.stage (fun () ->
            ignore (Sweep.fraig (Circuits.Adder.carry_lookahead 4) Sweep.default_config)));
-    Test.make ~name:"f5-proof-sharing"
-      (Staged.stage (fun () ->
-           let cert = Lazy.force small_cert in
-           ignore (Proof.Compress.share cert.Cec.proof ~root:cert.Cec.root)));
     Test.make ~name:"t6-bdd-equiv"
       (Staged.stage (fun () ->
            ignore
@@ -1992,11 +1839,10 @@ let run_bechamel () =
 let experiments =
   [
     ("t1", t1); ("t2", t2); ("t2h", t2h); ("t3", t3); ("t4", t4); ("t5", t5);
-    ("t6", t6); ("t7", t7); ("f1", f1); ("f2", f2); ("f3", f3); ("f4", f4); ("f5", f5); ("f6", f6); ("f7", f7); ("f8", f8);
+    ("t6", t6); ("t7", t7); ("f1", f1); ("f2", f2); ("f3", f3); ("f4", f4); ("f6", f6); ("f7", f7); ("f8", f8);
     ("p1", p1);
     ("p2", p2);
     ("p3", p3);
-    ("p4", p4);
     ("p5", p5);
     ("p6", p6);
     ("p7", p7);
@@ -2019,7 +1865,7 @@ let () =
       | None ->
         if name = "bechamel" then run_bechamel ()
         else begin
-          Printf.eprintf "unknown experiment %S (t1-t7/t2h, f1-f8, p1-p10, bechamel)\n" name;
+          Printf.eprintf "unknown experiment %S (t1-t7/t2h, f1-f4/f6-f8, p1-p3/p5-p10, bechamel)\n" name;
           exit 2
         end)
     selected

@@ -184,6 +184,10 @@ let print_partition (p : Parallel.partition) =
     p.Parallel.output status p.Parallel.cone_ands p.Parallel.attempts p.Parallel.conflicts
     p.Parallel.sat_calls
 
+(* What `cec --proof` writes: the ASCII trace (for debugging) or the
+   CECB binary certificate the store and check-proof use. *)
+type cert_format = Trace | Bin3
+
 let run_cec path_a path_b engine_name words no_lemmas max_conflicts sweep_mode jobs stats_out
     trace_out proof_out cert_format validate faults =
   with_faults faults @@ fun () ->
@@ -245,17 +249,14 @@ let run_cec path_a path_b engine_name words no_lemmas max_conflicts sweep_mode j
           | None -> ()
           | Some path -> (
             match cert_format with
-            | Service.Store.Bin ->
-              (* [Binfmt.encode] trims to the reachable cone itself. *)
-              write_text (Some path) (Proof.Binfmt.encode cert.Cec.proof ~root:cert.Cec.root)
-            | Service.Store.Bin3 ->
+            | Bin3 ->
               (* Hinted body sharded on the prover's section
                  boundaries: check-proof follows the hints with no
                  search and can split shards across --jobs domains. *)
               write_text (Some path)
                 (Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
                    ~root:cert.Cec.root)
-            | Service.Store.Trace ->
+            | Trace ->
               let trimmed, root = Proof.Trim.cone cert.Cec.proof ~root:cert.Cec.root in
               write_text (Some path) (Proof.Export.trace_to_string trimmed ~root)));
           if validate then begin
@@ -286,10 +287,11 @@ let run_check_proof miter_path trace_path jobs =
     | exception Sys_error msg ->
       prerr_endline msg;
       2
-    | text when Proof.Binfmt.is_hinted text -> (
-      (* Hinted CECB certificate: follow the stored pivots — no search
-         — and check the shards on [jobs] domains.  Same exit contract:
-         corruption 2, well-formed-but-invalid 3. *)
+    | text when Proof.Binfmt.is_binary text -> (
+      (* CECB certificate: follow the stored pivots — no search — and
+         check the shards on [jobs] domains.  Same exit contract as the
+         ASCII path: byte-level corruption (including a version byte
+         other than the hinted one) 2, well-formed-but-invalid 3. *)
       match Cnf.Tseitin.miter_formula miter with
       | exception Invalid_argument msg ->
         prerr_endline msg;
@@ -309,28 +311,6 @@ let run_check_proof miter_path trace_path jobs =
           2
         | Error e ->
           Format.printf "REJECTED: %a@." Proof.Hint_check.pp_error e;
-          3))
-    | text when Proof.Binfmt.is_binary text -> (
-      (* CECB binary certificate: validate in one bounded-memory pass.
-         Byte-level corruption exits 2 (parse error), a well-formed but
-         invalid proof exits 3 — same contract as the ASCII path. *)
-      match Cnf.Tseitin.miter_formula miter with
-      | exception Invalid_argument msg ->
-        prerr_endline msg;
-        2
-      | formula -> (
-        match Proof.Stream_check.check ~formula text with
-        | Ok st ->
-          Format.printf "OK: %d chains verified against %s (binary, peak %d of %d nodes live)@."
-            st.Proof.Stream_check.chains miter_path st.Proof.Stream_check.peak_live
-            st.Proof.Stream_check.nodes;
-          0
-        | Error e when e.Proof.Stream_check.malformed ->
-          Printf.eprintf "%s: parse error: %s\n" trace_path
-            (Format.asprintf "%a" Proof.Stream_check.pp_error e);
-          2
-        | Error e ->
-          Format.printf "REJECTED: %a@." Proof.Stream_check.pp_error e;
           3))
     | text -> (
     (* A malformed trace must exit cleanly (code 2) with a parse-error
@@ -733,7 +713,7 @@ let run_fleet_admin connects connect_timeout_ms join leave drain =
       print_endline line;
       (match Service.Protocol.field "error" line with Some _ -> 2 | None -> 0))
 
-let run_batch manifest store_dir capacity_mb no_paranoid cert_format jobs budget sweep_mode
+let run_batch manifest store_dir capacity_mb no_paranoid jobs budget sweep_mode
     portfolio timeout_ms stats_out trace_out faults =
   with_faults faults @@ fun () ->
   match Service.Batch.parse_manifest manifest with
@@ -743,7 +723,7 @@ let run_batch manifest store_dir capacity_mb no_paranoid cert_format jobs budget
   | Ok pairs ->
     let store =
       Service.Store.create ?capacity_bytes:(mb_to_bytes capacity_mb) ~paranoid:(not no_paranoid)
-        ~cert_format ~dir:store_dir ()
+        ~dir:store_dir ()
     in
     let on_result (r : Service.Batch.line_result) =
       Format.printf "%-12s %s%s %s %s%s@." r.Service.Batch.status
@@ -833,19 +813,6 @@ let faults_arg =
            worker.crash, engine.budget, proof.lift, peer.slow, peer.drop, peer.reset, \
            peer.partition.  Omitted = disabled (the points compile to a single boolean \
            load).")
-
-let cert_format_conv =
-  Arg.enum
-    [
-      ("trace", Service.Store.Trace);
-      ("bin", Service.Store.Bin);
-      ("bin3", Service.Store.Bin3);
-    ]
-
-(* `cec --proof` keeps writing ASCII traces unless asked (they diff and
-   grep); the store defaults to the compact binary format. *)
-let cert_format_arg ~default ~doc =
-  Arg.(value & opt cert_format_conv default & info [ "cert-format" ] ~docv:"FORMAT" ~doc)
 
 let gen_cmd =
   let spec =
@@ -940,13 +907,18 @@ let cec_cmd =
       value & flag
       & info [ "validate" ] ~doc:"Re-check the certificate against a rebuilt miter CNF.")
   in
+  (* `cec --proof` keeps writing ASCII traces unless asked (they diff
+     and grep); the store always writes the binary format. *)
   let cert_format =
-    cert_format_arg ~default:Service.Store.Trace
-      ~doc:
-        "Format for $(b,--proof): $(b,trace) (ASCII resolution trace, the default), $(b,bin) \
-         (compact CECB binary certificate with deletion records) or $(b,bin3) (hinted CECB: \
-         pivot hints plus a shard table on the prover's partition boundaries, checkable without \
-         search and in parallel).  $(b,check-proof) auto-detects all three."
+    Arg.(
+      value
+      & opt (enum [ ("trace", Trace); ("bin3", Bin3) ]) Trace
+      & info [ "cert-format" ] ~docv:"FORMAT"
+          ~doc:
+            "Format for $(b,--proof): $(b,trace) (ASCII resolution trace for debugging, the \
+             default) or $(b,bin3) (CECB binary certificate: pivot hints plus a shard table on \
+             the prover's partition boundaries, checkable without search and in parallel).  \
+             $(b,check-proof) auto-detects both.")
   in
   let jobs =
     Arg.(
@@ -1375,13 +1347,6 @@ let batch_cmd =
           ~doc:"Manifest file: one \"GOLDEN REVISED\" pair per line, # comments allowed; relative \
                 paths resolve against the manifest's directory.")
   in
-  let cert_format =
-    cert_format_arg ~default:Service.Store.Bin3
-      ~doc:
-        "Body format for newly stored certificates: $(b,bin3) (hinted CECB binary, the \
-         default), $(b,bin) (compact CECB binary without hints) or $(b,trace) (ASCII \
-         resolution trace).  Reading understands all three."
-  in
   Cmd.v
     (Cmd.info "batch" ~doc:"Check a manifest of pairs against a certificate store, no daemon."
        ~man:
@@ -1392,7 +1357,7 @@ let batch_cmd =
               cache for a later daemon (and vice versa).";
          ])
     Term.(
-      const run_batch $ manifest $ store_arg $ capacity_arg $ no_paranoid_arg $ cert_format
+      const run_batch $ manifest $ store_arg $ capacity_arg $ no_paranoid_arg
       $ service_jobs_arg $ service_budget_arg $ sweep_mode_arg $ service_engine_arg
       $ timeout_ms_arg $ stats_out_arg $ trace_out_arg $ faults_arg)
 

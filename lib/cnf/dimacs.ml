@@ -16,6 +16,7 @@ let of_string text =
   let f = Formula.create () in
   let lines = String.split_on_char '\n' text in
   let saw_header = ref false in
+  let num_vars = ref 0 in
   let pending = ref [] in
   let flush_clause () =
     (* DIMACS clauses are terminated by 0, possibly spanning lines. *)
@@ -28,10 +29,18 @@ let of_string text =
       if line = "" || line.[0] = 'c' then ()
       else if line.[0] = 'p' then begin
         (match String.split_on_char ' ' line |> List.filter (fun s -> s <> "") with
-        | [ "p"; "cnf"; vars; _clauses ] -> (
-          match int_of_string_opt vars with
-          | Some v -> Formula.ensure_vars f v
-          | None -> fail "malformed header %S" line)
+        | [ "p"; "cnf"; vars; clauses ] -> (
+          match (int_of_string_opt vars, int_of_string_opt clauses) with
+          | Some v, Some c when v >= 0 && c >= 0 ->
+            (* The header is trusted before the body is read, and the
+               solver sizes per-variable arrays from it: bound it by what
+               the input can name, as the AIGER readers do. *)
+            let len = String.length text in
+            if v > 8 * len then
+              fail "header declares %d variables, more than a %d-byte input can hold" v len;
+            num_vars := v;
+            Formula.ensure_vars f v
+          | _ -> fail "malformed header %S" line)
         | _ -> fail "malformed header %S" line);
         saw_header := true
       end
@@ -42,6 +51,8 @@ let of_string text =
         |> List.iter (fun tok ->
                match int_of_string_opt tok with
                | Some 0 -> flush_clause ()
+               | Some d when d < - !num_vars || d > !num_vars ->
+                 fail "literal %d out of range (header declares %d variables)" d !num_vars
                | Some d -> pending := d :: !pending
                | None -> fail "not a number: %S" tok)
       end)

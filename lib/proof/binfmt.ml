@@ -3,7 +3,6 @@ module Lit = Aig.Lit
 module R = Resolution
 
 let magic = "CECB"
-let version = 1
 let version_hinted = 2
 
 exception Corrupt of { offset : int; reason : string }
@@ -22,35 +21,6 @@ type shard = {
   byte_stop : int;
   exports : (int * Clause.t) array;
 }
-
-(* One step of trivial resolution with the pivot re-derived instead of
-   stored: a non-tautological resolvent exists only when exactly one
-   variable clashes between the operands, so the format omits pivots
-   entirely (they are about half of every chain's bytes) and readers
-   recover them here.  Returns [None] when nothing clashes; picking the
-   first clash is safe because a second one would make any resolvent a
-   tautology, which [Clause.resolve] rejects.  The orientation mirrors
-   [Resolution.recompute_chain]. *)
-let resolve_step acc c =
-  let pivot = ref (-1) in
-  (try
-     Clause.iter
-       (fun l ->
-         if Clause.mem (Lit.neg l) c then begin
-           pivot := Lit.var l;
-           raise Exit
-         end)
-       acc
-   with Exit -> ());
-  if !pivot < 0 then None
-  else
-    let pivot = !pivot in
-    let pos = Lit.of_var pivot in
-    let resolvent =
-      if Clause.mem pos acc && Clause.mem (Lit.neg pos) c then Clause.resolve acc c ~pivot
-      else Clause.resolve c acc ~pivot
-    in
-    Some (resolvent, pivot)
 
 (* One hinted step: resolve on the stored pivot, no search.  A wrong
    hint either names a variable absent from an operand or yields a
@@ -105,16 +75,13 @@ let last_uses proof order pos_of =
   last.(n - 1) <- n - 1;
   last
 
-(* Shared emission plan: the just-in-time node order (a leaf enters the
+(* Emission plan: the just-in-time node order (a leaf enters the
    stream immediately before its first consumer instead of up front, so
    a streaming checker's live set never holds formula clauses it has no
    use for yet; chains keep their topological order), the delete
-   schedule, and — for the hinted format — the shard end positions
-   derived from the caller's proof-id boundaries.  Both encoders share
-   this plan, so v1 and v3 certificates of the same proof have the same
-   node order, the same delete records and therefore the same peak live
-   set. *)
-let emission_plan ?(boundaries = [||]) ?(min_shard_nodes = 1) proof ~root =
+   schedule, and the shard end positions derived from the caller's
+   proof-id boundaries. *)
+let emission_plan ?(boundaries = [||]) ~min_shard_nodes proof ~root =
   let cone = R.reachable proof ~root in
   let bnds = List.sort_uniq compare (Array.to_list boundaries) |> Array.of_list in
   let nb = Array.length bnds in
@@ -169,10 +136,9 @@ let emission_plan ?(boundaries = [||]) ?(min_shard_nodes = 1) proof ~root =
   (order, emitted, n, deletable, ends)
 
 (* Append the record(s) for position [pos] — the node and, right after
-   it, any delete record that becomes possible there.  Identical byte
-   layout in both versions except that hinted chains carry their pivot
-   variables after the antecedent references. *)
-let put_record buf proof emitted ~hinted pos id deletable deletes =
+   it, any delete record that becomes possible there.  Chains carry
+   their pivot variables after the antecedent references. *)
+let put_record buf proof emitted pos id deletable deletes =
   (match R.node proof id with
   | R.Leaf { clause; assumption } ->
     Buffer.add_char buf (if assumption then '\001' else '\000');
@@ -181,29 +147,13 @@ let put_record buf proof emitted ~hinted pos id deletable deletes =
     Buffer.add_char buf '\002';
     put_varint buf (Array.length antecedents);
     Array.iter (fun a -> put_varint buf (pos - Hashtbl.find emitted a)) antecedents;
-    if hinted then Array.iter (put_varint buf) pivots);
+    Array.iter (put_varint buf) pivots);
   match deletable.(pos) with
   | [] -> ()
   | dead ->
     incr deletes;
     Buffer.add_char buf '\003';
     put_deltas buf (Array.of_list dead)
-
-let record_size_obs reg n deletes bytes =
-  Obs.Counter.add (Obs.Registry.counter reg "proof.bin.nodes") n;
-  Obs.Counter.add (Obs.Registry.counter reg "proof.bin.delete_records") deletes;
-  Obs.Gauge.add (Obs.Registry.gauge reg "proof.bin.bytes") (float_of_int bytes)
-
-let encode proof ~root =
-  let order, emitted, n, deletable, _ends = emission_plan proof ~root in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr version);
-  put_varint buf n;
-  let deletes = ref 0 in
-  Array.iteri (fun pos id -> put_record buf proof emitted ~hinted:false pos id deletable deletes) order;
-  record_size_obs (Obs.ambient ()) n !deletes (Buffer.length buf);
-  Buffer.contents buf
 
 let encode_hinted ?boundaries ?(min_shard_nodes = 256) proof ~root =
   let order, emitted, n, deletable, ends =
@@ -241,7 +191,7 @@ let encode_hinted ?boundaries ?(min_shard_nodes = 256) proof ~root =
   let deletes = ref 0 in
   Array.iteri
     (fun pos id ->
-      put_record bodies.(shard_of.(pos)) proof emitted ~hinted:true pos id deletable deletes)
+      put_record bodies.(shard_of.(pos)) proof emitted pos id deletable deletes)
     order;
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
@@ -267,18 +217,15 @@ let encode_hinted ?boundaries ?(min_shard_nodes = 256) proof ~root =
     ends;
   Array.iter (Buffer.add_buffer buf) bodies;
   let reg = Obs.ambient () in
-  record_size_obs reg n !deletes (Buffer.length buf);
+  Obs.Counter.add (Obs.Registry.counter reg "proof.bin.nodes") n;
+  Obs.Counter.add (Obs.Registry.counter reg "proof.bin.delete_records") !deletes;
+  Obs.Gauge.add (Obs.Registry.gauge reg "proof.bin.bytes") (float_of_int (Buffer.length buf));
   Obs.Counter.add (Obs.Registry.counter reg "proof.bin.shards") s_count;
   Obs.Counter.add (Obs.Registry.counter reg "proof.bin.exports") !export_count;
   Buffer.contents buf
 
 let is_binary data =
   String.length data > String.length magic && String.sub data 0 (String.length magic) = magic
-
-let is_hinted data =
-  is_binary data
-  && String.length data > String.length magic
-  && Char.code data.[String.length magic] = version_hinted
 
 (* --- record reader --- *)
 
@@ -287,14 +234,12 @@ type reader = {
   mutable pos : int;
   declared : int;  (** node count from the header *)
   mutable defined : int;  (** node records consumed so far *)
-  version : int;
   shards : shard array;
 }
 
 let declared_nodes r = r.declared
 let defined_nodes r = r.defined
 let offset r = r.pos
-let version_of r = r.version
 let shards r = r.shards
 let shard_reader r i = { r with pos = r.shards.(i).byte_start; defined = r.shards.(i).start_pos }
 
@@ -385,27 +330,14 @@ let reader data =
   if not (is_binary data) then corrupt 0 "bad magic (not a %s certificate)" magic;
   let vpos = String.length magic in
   let v = Char.code data.[vpos] in
-  if v <> version && v <> version_hinted then
-    corrupt vpos "unsupported format version %d (want %d or %d)" v version version_hinted;
-  let r = { data; pos = vpos + 1; declared = 0; defined = 0; version = v; shards = [||] } in
+  if v <> version_hinted then corrupt vpos "unsupported format version %d (want %d)" v version_hinted;
+  let r = { data; pos = vpos + 1; declared = 0; defined = 0; shards = [||] } in
   let declared = get_varint r in
   if declared = 0 then corrupt r.pos "empty certificate";
   (* Every node record takes at least one byte, so a count beyond the
      data size is corrupt — checked before any count-sized allocation. *)
   if declared > String.length data then corrupt r.pos "node count overruns the data";
-  let shards =
-    if v = version then
-      [|
-        {
-          start_pos = 0;
-          end_pos = declared;
-          byte_start = r.pos;
-          byte_stop = String.length data;
-          exports = [||];
-        };
-      |]
-    else read_shard_table r declared
-  in
+  let shards = read_shard_table r declared in
   { r with declared; shards }
 
 let next r =
@@ -441,9 +373,7 @@ let next r =
             if d = 0 || d > pos then corrupt at "antecedent reference out of range";
             pos - d)
       in
-      let pivots =
-        if r.version = version_hinted then Array.init (k - 1) (fun _ -> get_varint r) else [||]
-      in
+      let pivots = Array.init (k - 1) (fun _ -> get_varint r) in
       r.defined <- r.defined + 1;
       Some (Chain { antecedents; pivots })
     | 3 ->
@@ -469,29 +399,15 @@ let decode data =
         (match record with
         | Leaf { clause; assumption } ->
           ids.(r.defined - 1) <- R.add_leaf ~assumption dst clause
-        | Chain { antecedents; pivots = hints } ->
+        | Chain { antecedents; pivots } ->
           let antecedents = Array.map (fun p -> ids.(p)) antecedents in
-          let pivots = Array.make (Array.length antecedents - 1) 0 in
           let acc = ref (R.clause_of dst antecedents.(0)) in
           for i = 1 to Array.length antecedents - 1 do
-            if Array.length hints > 0 then begin
-              (* Hinted chain: follow the stored pivot, no search. *)
-              let pivot = hints.(i - 1) in
-              match resolve_hinted !acc (R.clause_of dst antecedents.(i)) ~pivot with
-              | resolvent ->
-                pivots.(i - 1) <- pivot;
-                acc := resolvent
-              | exception Invalid_argument msg ->
-                corrupt (offset r) "invalid hinted resolution step: %s" msg
-            end
-            else
-              match resolve_step !acc (R.clause_of dst antecedents.(i)) with
-              | None -> corrupt (offset r) "no clashing variable in resolution step"
-              | Some (resolvent, pivot) ->
-                pivots.(i - 1) <- pivot;
-                acc := resolvent
-              | exception Invalid_argument msg ->
-                corrupt (offset r) "invalid resolution step: %s" msg
+            (* Follow the stored pivot, no search. *)
+            match resolve_hinted !acc (R.clause_of dst antecedents.(i)) ~pivot:pivots.(i - 1) with
+            | resolvent -> acc := resolvent
+            | exception Invalid_argument msg ->
+              corrupt (offset r) "invalid hinted resolution step: %s" msg
           done;
           ids.(r.defined - 1) <- R.add_chain dst ~clause:!acc ~antecedents ~pivots
         | Delete _ -> () (* memory-management advice; nothing to free here *));

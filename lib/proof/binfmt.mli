@@ -1,17 +1,16 @@
-(** Compact binary certificates.
+(** Compact binary certificates (CECB).
 
     The dense ASCII trace ({!Export.trace_to_string}) spells every
-    node id, literal and {e result clause} out in decimal; for shipping
-    and storing certificates this module provides a binary format that
-    is typically several times smaller and — unlike the trace — can be
-    validated in one forward pass holding only live clauses
-    ({!Stream_check}, {!Hint_check}).
+    node id, literal and {e result clause} out in decimal and is kept
+    for debugging; for shipping and storing certificates this module
+    provides a binary format that is several times smaller and — unlike
+    the trace — can be validated in one forward pass holding only live
+    clauses, without search and shard-parallel ({!Hint_check}).
 
     {2 Format}
 
     {v
-    "CECB" <version byte>
-    -- version 2 (hinted) only:
+    "CECB" <version byte = 2>
     varint: node count n
     varint: shard count S, then S shard entries:
       varint  end position delta (strictly increasing, last end = n)
@@ -19,78 +18,60 @@
       varint  export count e, then e exports:
         varint  node position delta (ascending, within the shard)
         varint k, k delta-coded literals (the node's result clause)
-    -- version 1 starts records right after the node count:
     then records; node records are numbered 0..n-1 in order:
       tag 0x00  leaf            varint k, k delta-coded literals
       tag 0x01  assumption leaf same layout as a leaf
       tag 0x02  chain           varint k (#antecedents, >= 2), then k
                                 antecedent references, each the positive
-                                backward delta [pos - ref]; version 2
-                                additionally stores k-1 pivot variables
-                                (the resolution hints)
+                                backward delta [pos - ref], then k-1
+                                pivot variables (the resolution hints)
       tag 0x03  delete          varint m, m delta-coded node ids whose
                                 clauses are dead from here on
     v}
 
     All integers are unsigned LEB128 varints; literals use the internal
     [2*var + sign] encoding and, like delete-id lists, are sorted and
-    gap-coded.  Version-1 chains store {e no result clause and no
-    pivots}: a non-tautological resolvent exists only when exactly one
-    variable clashes between the operands, so readers re-derive each
-    pivot ({!resolve_step}) and recompute each result by resolution.
-    Version-2 (hinted, LRAT/GRIT-style) chains additionally spell the
-    pivot sequence out, so a checker follows the hints with {e zero
-    search} ({!resolve_hinted}); a corrupted hint either names a
-    non-clashing variable or yields a tautology, so it can never
-    produce an accepted-but-wrong clause.
+    gap-coded.  Chains store {e no result clause}: they spell the pivot
+    sequence out (LRAT/GRIT-style), so a checker recomputes each result
+    by following the hints with {e zero search} ({!resolve_hinted}); a
+    corrupted hint either names a non-clashing variable or yields a
+    tautology, so it can never produce an accepted-but-wrong clause.
 
-    The hinted header also carries a {e shard table}: the node stream
-    is split at the partition boundaries the prover recorded (the
-    stitch structure of {!Lift}-lifted per-partition refutations), and
-    every node referenced across a shard boundary is {e exported} —
-    its position and result clause appear in the header — so shards
-    validate concurrently and join at the stitch points
-    ({!Hint_check}).  A single-shard table (no boundaries) degenerates
-    to the version-1 layout plus hints.
+    The header's {e shard table} splits the node stream at the
+    partition boundaries the prover recorded (the stitch structure of
+    {!Lift}-lifted per-partition refutations), and every node
+    referenced across a shard boundary is {e exported} — its position
+    and result clause appear in the header — so shards validate
+    concurrently and join at the stitch points ({!Hint_check}).
 
-    The encoders walk the cone of [root] (so encoding trims), place
-    each leaf immediately before its first consumer, and emit a delete
+    The encoder walks the cone of [root] (so encoding trims), places
+    each leaf immediately before its first consumer, and emits a delete
     record after the last use of every node — computed by a
     backward-trimming pass — so a streaming checker's live set stays
-    small.  Both versions share the same emission plan: identical node
-    order and delete schedule, hence identical peak live set.  The node
-    stream is topological and the root is the final node record, never
-    deleted. *)
+    small.  The node stream is topological and the root is the final
+    node record, never deleted. *)
 
 val magic : string
 
-(** Format version written by {!encode}. *)
-val version : int
-
-(** Format version written by {!encode_hinted}. *)
+(** The format version byte every certificate carries. *)
 val version_hinted : int
 
 (** [true] when [data] starts with the binary certificate magic;
-    ASCII traces (which start with a decimal id) never match. *)
+    ASCII traces (which start with a decimal id) never match.  The
+    version byte is left to {!reader}, which rejects anything but
+    {!version_hinted} as {!Corrupt}. *)
 val is_binary : string -> bool
 
-(** [true] when [data] is a binary certificate in the hinted
-    (version-2) format. *)
-val is_hinted : string -> bool
-
-(** Serialize the cone of [root].  Node and delete-record counts and
-    the encoded size are recorded in the ambient {!Obs} registry
-    ([proof.bin.nodes], [proof.bin.delete_records], [proof.bin.bytes]). *)
-val encode : Resolution.t -> root:Resolution.id -> string
-
-(** Serialize the cone of [root] in the hinted format.  [boundaries]
-    are proof ids marking the {e last node of each section} (partition
-    sub-derivations recorded at stitch or sweep time); each becomes a
-    shard end once mapped to stream positions.  Boundaries outside the
-    cone, duplicated, or delimiting shards smaller than
-    [min_shard_nodes] (default 256) are coalesced away; no boundaries
-    means one shard.  Also records [proof.bin.shards] and
-    [proof.bin.exports] in the ambient registry. *)
+(** Serialize the cone of [root].  [boundaries] are proof ids marking
+    the {e last node of each section} (partition sub-derivations
+    recorded at stitch or sweep time); each becomes a shard end once
+    mapped to stream positions.  Boundaries outside the cone,
+    duplicated, or delimiting shards smaller than [min_shard_nodes]
+    (default 256) are coalesced away; no boundaries means one shard.
+    Node, delete-record, shard and export counts and the encoded size
+    are recorded in the ambient {!Obs} registry ([proof.bin.nodes],
+    [proof.bin.delete_records], [proof.bin.shards],
+    [proof.bin.exports], [proof.bin.bytes]). *)
 val encode_hinted :
   ?boundaries:Resolution.id array ->
   ?min_shard_nodes:int ->
@@ -99,15 +80,15 @@ val encode_hinted :
   string
 
 (** Rebuild a {!Resolution.t} and return it with the root id.  Chain
-    clauses are recomputed by resolution — following the stored hints
-    for version-2 input, by clash search for version-1.  Delete records
+    clauses are recomputed by resolution, following the stored hints.
+    Delete records
     are validated but not acted on — the store keeps every node.
     @raise Failure on malformed input or an invalid resolution step. *)
 val decode : string -> Resolution.t * Resolution.id
 
 (** {2 Record-level reader}
 
-    Shared by {!decode}, {!Stream_check} and {!Hint_check}: iterate the
+    Shared by {!decode} and {!Hint_check}: iterate the
     records of a certificate without materializing the DAG. *)
 
 exception Corrupt of { offset : int; reason : string }
@@ -116,12 +97,11 @@ type record =
   | Leaf of { clause : Cnf.Clause.t; assumption : bool }
   | Chain of { antecedents : int array; pivots : int array }
       (** antecedent values are node positions, already delta-resolved;
-          [pivots] has one hint per resolution step for version-2 input
-          and is empty for version-1 *)
+          [pivots] has one hint per resolution step *)
   | Delete of int array  (** sorted node positions, already defined *)
 
 (** One contiguous slice of the node stream, from the header's shard
-    table (version 1 synthesizes a single all-covering shard).
+    table.
     Positions [start_pos..end_pos-1] live in bytes
     [byte_start..byte_stop-1]; [exports] lists, in ascending position
     order, the nodes later shards reference together with their
@@ -134,14 +114,6 @@ type shard = {
   exports : (int * Cnf.Clause.t) array;
 }
 
-(** [resolve_step acc c] re-derives one trivial-resolution step: finds
-    the clashing variable between [acc] and [c], resolves on it
-    (oriented like {!Resolution.recompute_chain}) and returns the
-    resolvent with the pivot.  [None] when no variable clashes.
-    @raise Invalid_argument when the resolvent is a tautology (two or
-    more clashing variables). *)
-val resolve_step : Cnf.Clause.t -> Cnf.Clause.t -> (Cnf.Clause.t * int) option
-
 (** [resolve_hinted acc c ~pivot] performs one step on the stored
     pivot, with no search (oriented like {!Resolution.recompute_chain}).
     @raise Invalid_argument when [pivot] does not clash between the
@@ -150,8 +122,8 @@ val resolve_hinted : Cnf.Clause.t -> Cnf.Clause.t -> pivot:int -> Cnf.Clause.t
 
 type reader
 
-(** Validate the magic, version, node count and (hinted format) the
-    whole shard table.  @raise Corrupt. *)
+(** Validate the magic, version, node count and the whole shard
+    table.  @raise Corrupt. *)
 val reader : string -> reader
 
 (** Node count declared by the header. *)
@@ -164,11 +136,7 @@ val defined_nodes : reader -> int
 (** Current byte offset (for error reporting). *)
 val offset : reader -> int
 
-(** Format version byte the data carries ({!version} or
-    {!version_hinted}). *)
-val version_of : reader -> int
-
-(** The shard table; a single synthetic shard for version-1 data. *)
+(** The shard table. *)
 val shards : reader -> shard array
 
 (** [shard_reader r i] is a fresh reader positioned at the first byte

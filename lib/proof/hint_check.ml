@@ -54,13 +54,13 @@ let fresh_outcome () =
   }
 
 (* Forward pass over one shard, search-free: every resolution step
-   follows its stored hint.  Local antecedents come from the live
-   table exactly as in {!Stream_check}; cross-shard antecedents come
-   from the header's export table (and are recorded for the join, so a
-   use the exporting shard later invalidates still rejects).  The live
-   set is the shard's local live clauses plus the imports currently
-   held — for a valid certificate that is never more than the
-   sequential checker's live set at the same instant. *)
+   follows its stored hint.  Local antecedents come from the shard's
+   live table; cross-shard antecedents come from the header's export
+   table (and are recorded for the join, so a use the exporting shard
+   later invalidates still rejects).  The live set is the shard's local
+   live clauses plus the imports currently held — for a valid
+   certificate that is never more than a single-shard pass's live set
+   at the same instant. *)
 let check_shard ?formula base shards exports idx =
   let out = fresh_outcome () in
   let sh = shards.(idx) in
@@ -259,79 +259,67 @@ let check ?formula ?(jobs = 1) data =
   | exception Binfmt.Corrupt { offset; reason } ->
     fail { offset; reason; malformed = true; chain = None }
   | base ->
-    if Binfmt.version_of base <> Binfmt.version_hinted then
-      fail
-        {
-          offset = String.length Binfmt.magic;
-          reason =
-            Printf.sprintf "certificate carries no hints (CECB version %d); use Stream_check"
-              (Binfmt.version_of base);
-          malformed = false;
-          chain = None;
-        }
-    else begin
-      let shards = Binfmt.shards base in
-      let s_count = Array.length shards in
-      let exports = Hashtbl.create 64 in
+    let shards = Binfmt.shards base in
+    let s_count = Array.length shards in
+    let exports = Hashtbl.create 64 in
+    Array.iter
+      (fun sh -> Array.iter (fun (p, c) -> Hashtbl.replace exports p c) sh.Binfmt.exports)
+      shards;
+    (* Shards are independent units of work pulled off an atomic
+       cursor by [jobs] domains; every shard is always checked (no
+       early abort), so the outcome — verdict, error choice and all
+       aggregate counters — is identical for every [jobs], including
+       on rejection. *)
+    let outcomes = Array.make s_count (fresh_outcome ()) in
+    let cursor = Atomic.make 0 in
+    let workers = max 1 (min jobs s_count) in
+    let work wreg () =
+      Obs.with_ambient wreg (fun () ->
+          let rec loop () =
+            let i = Atomic.fetch_and_add cursor 1 in
+            if i < s_count then begin
+              outcomes.(i) <-
+                Obs.Span.with_ wreg "check.shard" (fun () ->
+                    check_shard ?formula base shards exports i);
+              loop ()
+            end
+          in
+          loop ())
+    in
+    let regs = Array.init workers (fun _ -> Obs.Registry.create ()) in
+    let spawned = Array.init (workers - 1) (fun k -> Domain.spawn (work regs.(k + 1))) in
+    work regs.(0) ();
+    Array.iter Domain.join spawned;
+    Array.iter (fun r -> Obs.Registry.merge_into ~into:reg r) regs;
+    match pick (join outcomes) with
+    | Some e -> fail e
+    | None ->
+      let chains = ref 0 and steps = ref 0 and deletes = ref 0 and peak = ref 0 in
       Array.iter
-        (fun sh -> Array.iter (fun (p, c) -> Hashtbl.replace exports p c) sh.Binfmt.exports)
-        shards;
-      (* Shards are independent units of work pulled off an atomic
-         cursor by [jobs] domains; every shard is always checked (no
-         early abort), so the outcome — verdict, error choice and all
-         aggregate counters — is identical for every [jobs], including
-         on rejection. *)
-      let outcomes = Array.make s_count (fresh_outcome ()) in
-      let cursor = Atomic.make 0 in
-      let workers = max 1 (min jobs s_count) in
-      let work wreg () =
-        Obs.with_ambient wreg (fun () ->
-            let rec loop () =
-              let i = Atomic.fetch_and_add cursor 1 in
-              if i < s_count then begin
-                outcomes.(i) <-
-                  Obs.Span.with_ wreg "check.shard" (fun () ->
-                      check_shard ?formula base shards exports i);
-                loop ()
-              end
-            in
-            loop ())
-      in
-      let regs = Array.init workers (fun _ -> Obs.Registry.create ()) in
-      let spawned = Array.init (workers - 1) (fun k -> Domain.spawn (work regs.(k + 1))) in
-      work regs.(0) ();
-      Array.iter Domain.join spawned;
-      Array.iter (fun r -> Obs.Registry.merge_into ~into:reg r) regs;
-      match pick (join outcomes) with
-      | Some e -> fail e
-      | None ->
-        let chains = ref 0 and steps = ref 0 and deletes = ref 0 and peak = ref 0 in
-        Array.iter
-          (fun o ->
-            chains := !chains + o.sr_chains;
-            steps := !steps + o.sr_steps;
-            deletes := !deletes + o.sr_deletes;
-            if o.sr_peak > !peak then peak := o.sr_peak)
-          outcomes;
-        let c name = Obs.Registry.counter reg name in
-        Obs.Counter.incr (c "check.checks");
-        Obs.Counter.add (c "check.chains") !chains;
-        Obs.Counter.add (c "check.steps") !steps;
-        (* Every step resolved on its stored hint — zero search; the
-           equality [check.hints_followed = check.steps] is the no-search
-           pin the tests rely on. *)
-        Obs.Counter.add (c "check.hints_followed") !steps;
-        Obs.Counter.add (c "check.shards") s_count;
-        let peak_gauge = Obs.Registry.gauge reg "check.peak_live" in
-        Obs.Gauge.set peak_gauge (Float.max (Obs.Gauge.get peak_gauge) (float_of_int !peak));
-        Ok
-          {
-            nodes = Binfmt.declared_nodes base;
-            chains = !chains;
-            steps = !steps;
-            hints_followed = !steps;
-            deletes = !deletes;
-            peak_live = !peak;
-            shards = s_count;
-          }
-    end
+        (fun o ->
+          chains := !chains + o.sr_chains;
+          steps := !steps + o.sr_steps;
+          deletes := !deletes + o.sr_deletes;
+          if o.sr_peak > !peak then peak := o.sr_peak)
+        outcomes;
+      let c name = Obs.Registry.counter reg name in
+      Obs.Counter.incr (c "check.checks");
+      Obs.Counter.add (c "check.chains") !chains;
+      Obs.Counter.add (c "check.steps") !steps;
+      (* Every step resolved on its stored hint — zero search; the
+         equality [check.hints_followed = check.steps] is the no-search
+         pin the tests rely on. *)
+      Obs.Counter.add (c "check.hints_followed") !steps;
+      Obs.Counter.add (c "check.shards") s_count;
+      let peak_gauge = Obs.Registry.gauge reg "check.peak_live" in
+      Obs.Gauge.set peak_gauge (Float.max (Obs.Gauge.get peak_gauge) (float_of_int !peak));
+      Ok
+        {
+          nodes = Binfmt.declared_nodes base;
+          chains = !chains;
+          steps = !steps;
+          hints_followed = !steps;
+          deletes = !deletes;
+          peak_live = !peak;
+          shards = s_count;
+        }

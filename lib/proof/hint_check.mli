@@ -1,11 +1,11 @@
-(** Search-free, shard-parallel validation of hinted certificates.
+(** Search-free, shard-parallel validation of binary certificates —
+    the production checker ({!Checker} over {!Binfmt.decode} is the
+    independent oracle).
 
-    {!Stream_check} re-infers every resolution step by searching for
-    the clashing variable.  Hinted (CECB version-2) certificates spell
-    the pivot sequence out (LRAT/GRIT-style), so this checker follows
-    the hints in a strict linear scan — zero clause-search steps — with
-    the same bounded live-set discipline: clauses are resident only
-    between their defining and delete records.
+    CECB certificates spell the pivot sequence out (LRAT/GRIT-style),
+    so this checker follows the hints in a strict linear scan — zero
+    clause-search steps — with a bounded live-set discipline: clauses
+    are resident only between their defining and delete records.
 
     The hinted header's {e shard table} (the partition boundaries the
     prover recorded at stitch time) additionally lets the shards check
@@ -33,8 +33,8 @@ type stats = {
   deletes : int;  (** delete records applied *)
   peak_live : int;
       (** maximum clauses resident in any one shard (local live set
-          plus held imports); never exceeds {!Stream_check}'s peak on
-          the same certificate *)
+          plus held imports); never exceeds the single-shard peak of
+          the same proof *)
   shards : int;  (** shards validated *)
 }
 
@@ -49,10 +49,10 @@ type error = {
 
 val pp_error : Format.formatter -> error -> unit
 
-(** [check ?formula ?jobs data] validates [data] as a {e hinted}
-    binary certificate of unsatisfiability; with [formula], every leaf
-    must be one of its clauses.  [jobs] (default 1) bounds the domains
-    checking shards concurrently — it affects wall time only, never
-    the result.  Version-1 certificates are refused (use
-    {!Stream_check}).  Never raises on untrusted input. *)
+(** [check ?formula ?jobs data] validates [data] as a binary
+    certificate of unsatisfiability; with [formula], every leaf must be
+    one of its clauses.  [jobs] (default 1) bounds the domains checking
+    shards concurrently — it affects wall time only, never the result.
+    Bad magic, a version byte other than {!Binfmt.version_hinted} and
+    truncation are [malformed].  Never raises on untrusted input. *)
 val check : ?formula:Cnf.Formula.t -> ?jobs:int -> string -> (stats, error) result

@@ -1,5 +1,6 @@
-(** Library interface: resolution proof store, checkers (materialized
-    and streaming), assumption lifting, trimming, statistics, and text
+(** Library interface: resolution proof store, checkers (the
+    materialized oracle, the hinted production checker and RUP for
+    DRUP interop), assumption lifting, trimming, statistics, and text
     and binary certificate formats. *)
 
 module Resolution = Resolution
@@ -9,8 +10,5 @@ module Trim = Trim
 module Pstats = Pstats
 module Export = Export
 module Binfmt = Binfmt
-module Stream_check = Stream_check
 module Hint_check = Hint_check
 module Rup = Rup
-module Compress = Compress
-module Interpolant = Interpolant

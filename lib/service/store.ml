@@ -1,16 +1,11 @@
 module Cec = Cec_core.Cec
-module Certify = Cec_core.Certify
 
-(* Version 2 introduced binary certificate bodies and the explicit
-   ["trace"/"bin"] word on the verdict line; version 3 adds hinted
-   binary bodies ("bin3": pivot hints + shard table, checkable without
-   search and in parallel).  Version-1 objects (bare ["equivalent"] +
-   ASCII trace) and version-2 objects are still readable; the index
-   format is versioned separately below and an old index is simply
-   rebuilt. *)
+(* Version 3 objects carry hinted binary bodies ("bin3": pivot hints +
+   shard table, checkable without search and in parallel).  Objects of
+   any other version, or with any other body, are corrupt: the store is
+   a cache, so they cost one re-solve.  The index format is versioned
+   separately below and an old index is simply rebuilt. *)
 let format_version = 3
-
-type cert_format = Trace | Bin | Bin3
 
 type entry = {
   mutable bytes : int;
@@ -33,7 +28,6 @@ type t = {
   objects : string;
   capacity : int option;
   paranoid : bool;
-  cert_format : cert_format;
   table : (string, entry) Hashtbl.t;
   mutable clock : int;
   mutable total_bytes : int;
@@ -147,36 +141,22 @@ let touch t (e : entry) =
 (* --- certificate encoding --- *)
 
 let header = Printf.sprintf "cecproof-cert %d" format_version
-let legacy_headers = [ "cecproof-cert 1"; "cecproof-cert 2" ]
-let known_header h = h = header || List.mem h legacy_headers
 
-let encode ~format verdict =
+let encode verdict =
   match verdict with
   | Cec.Undecided -> None
   | Cec.Inequivalent cex ->
     let bits = String.init (Array.length cex) (fun i -> if cex.(i) then '1' else '0') in
     Some (Printf.sprintf "%s\ninequivalent %s\n" header bits)
-  | Cec.Equivalent cert -> (
-    match format with
-    | Bin ->
-      (* [Binfmt.encode] walks the reachable cone itself, so no
-         separate trimming pass is needed. *)
-      Some
-        (Printf.sprintf "%s\nequivalent bin\n%s" header
-           (Proof.Binfmt.encode cert.Cec.proof ~root:cert.Cec.root))
-    | Bin3 ->
-      (* Hinted body: pivot hints plus a shard table on the prover's
-         section boundaries, so reads re-validate without search and
-         in parallel. *)
-      Some
-        (Printf.sprintf "%s\nequivalent bin3\n%s" header
-           (Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
-              ~root:cert.Cec.root))
-    | Trace ->
-      let trimmed, root = Proof.Trim.cone cert.Cec.proof ~root:cert.Cec.root in
-      Some
-        (Printf.sprintf "%s\nequivalent trace\n%s" header
-           (Proof.Export.trace_to_string trimmed ~root)))
+  | Cec.Equivalent cert ->
+    (* Hinted body: pivot hints plus a shard table on the prover's
+       section boundaries, so reads re-validate without search and in
+       parallel.  The encoder walks the reachable cone itself, so no
+       separate trimming pass is needed. *)
+    Some
+      (Printf.sprintf "%s\nequivalent bin3\n%s" header
+         (Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
+            ~root:cert.Cec.root))
 
 (* Split [data] into (first line, remainder after its newline). *)
 let split_line data =
@@ -206,27 +186,10 @@ let load_verdict t path ~golden ~revised =
   | data -> (
     let data = if Fault.fire "store.corrupt" then corrupt_bytes data else data in
     let first, rest = split_line data in
-    if not (known_header first) then
+    if first <> header then
       Error (Printf.sprintf "version/header mismatch: %S (want %S)" first header)
     else
       let verdict_line, body = split_line rest in
-      (* Version-1 objects say bare "equivalent" and always carry an
-         ASCII trace; later versions name their body format. *)
-      let equivalent_trace () =
-        match Proof.Export.trace_of_string body with
-        | exception Failure msg -> Error msg
-        | exception Invalid_argument msg -> Error msg
-        | proof, root -> (
-          match Cnf.Tseitin.miter_formula (Aig.Miter.build golden revised) with
-          | exception Invalid_argument msg -> Error msg
-          | formula -> (
-            let cert = { Cec.proof; root; formula; boundaries = [||] } in
-            if not t.paranoid then Ok (Cec.Equivalent cert)
-            else
-              match Certify.validate_against cert golden revised with
-              | Ok _ -> Ok (Cec.Equivalent cert)
-              | Error e -> Error (Format.asprintf "%a" Certify.pp_error e)))
-      in
       (* The decoded proof's node ids equal stream positions, so the
          shard table maps straight back to section boundaries — a
          reloaded certificate re-encodes with the same shards. *)
@@ -241,26 +204,19 @@ let load_verdict t path ~golden ~revised =
                  else None)
           |> Array.of_list
       in
-      let equivalent_bin ~hinted () =
+      let equivalent () =
         match Cnf.Tseitin.miter_formula (Aig.Miter.build golden revised) with
         | exception Invalid_argument msg -> Error msg
         | formula -> (
           let checked =
             if not t.paranoid then Ok ()
-            else if hinted then
-              (* Hinted bodies re-validate search-free: the checker
-                 follows each chain's stored pivots and enforces the
-                 shard/export discipline. *)
+            else
+              (* Re-validate search-free against this pair's miter CNF:
+                 the checker follows each chain's stored pivots and
+                 enforces the shard/export discipline. *)
               match Proof.Hint_check.check ~formula body with
               | Ok _ -> Ok ()
               | Error e -> Error (Format.asprintf "%a" Proof.Hint_check.pp_error e)
-            else
-              (* The streaming checker plays the [Certify] role for
-                 binary bodies: leaves must come from this pair's miter
-                 CNF, every chain re-resolves, the root is empty. *)
-              match Proof.Stream_check.check ~formula body with
-              | Ok _ -> Ok ()
-              | Error e -> Error (Format.asprintf "%a" Proof.Stream_check.pp_error e)
           in
           match checked with
           | Error msg -> Error msg
@@ -271,9 +227,7 @@ let load_verdict t path ~golden ~revised =
               Ok (Cec.Equivalent { Cec.proof; root; formula; boundaries = boundaries_of_body () })))
       in
       match String.split_on_char ' ' verdict_line with
-      | [ "equivalent" ] | [ "equivalent"; "trace" ] -> equivalent_trace ()
-      | [ "equivalent"; "bin" ] -> equivalent_bin ~hinted:false ()
-      | [ "equivalent"; "bin3" ] -> equivalent_bin ~hinted:true ()
+      | [ "equivalent"; "bin3" ] -> equivalent ()
       | [ "inequivalent"; bits ] ->
         if String.exists (fun c -> c <> '0' && c <> '1') bits then
           Error "malformed counterexample bits"
@@ -331,24 +285,15 @@ let is_tmp_name name =
 
 (* Structural validation of one object's bytes — no pair in hand, so
    this checks everything checkable without a miter CNF: header and
-   verdict-line shape, trace parsability, and for binary bodies a full
-   [Stream_check] pass (every chain re-resolves, root empty) minus the
-   leaf-origin check that needs the formula. *)
+   verdict-line shape, and for equivalent bodies a full [Hint_check]
+   pass (every chain re-resolves, root empty) minus the leaf-origin
+   check that needs the formula. *)
 let validate_object data =
   let first, rest = split_line data in
-  if not (known_header first) then Error (Printf.sprintf "header mismatch: %S" first)
+  if first <> header then Error (Printf.sprintf "header mismatch: %S" first)
   else
     let verdict_line, body = split_line rest in
     match String.split_on_char ' ' verdict_line with
-    | [ "equivalent" ] | [ "equivalent"; "trace" ] -> (
-      match Proof.Export.trace_of_string body with
-      | exception Failure msg -> Error msg
-      | exception Invalid_argument msg -> Error msg
-      | _ -> Ok ())
-    | [ "equivalent"; "bin" ] -> (
-      match Proof.Stream_check.check body with
-      | Ok _ -> Ok ()
-      | Error e -> Error (Format.asprintf "%a" Proof.Stream_check.pp_error e))
     | [ "equivalent"; "bin3" ] -> (
       match Proof.Hint_check.check body with
       | Ok _ -> Ok ()
@@ -451,7 +396,7 @@ let pp_fsck fmt r =
   Format.fprintf fmt "scanned=%d valid=%d orphan_tmp=%d quarantined=%d adopted=%d dropped=%d"
     r.scanned r.valid r.orphan_tmp r.quarantined r.adopted r.dropped
 
-let create ?capacity_bytes ?(paranoid = true) ?(cert_format = Bin3) ?(startup_fsck = true) ~dir () =
+let create ?capacity_bytes ?(paranoid = true) ?(startup_fsck = true) ~dir () =
   let objects = Filename.concat dir "objects" in
   mkdir_p objects;
   let t =
@@ -460,7 +405,6 @@ let create ?capacity_bytes ?(paranoid = true) ?(cert_format = Bin3) ?(startup_fs
       objects;
       capacity = capacity_bytes;
       paranoid;
-      cert_format;
       table = Hashtbl.create 64;
       clock = 0;
       total_bytes = 0;
@@ -539,7 +483,7 @@ let write_object_atomic t hex data =
   Sys.rename tmp path
 
 let store t key verdict =
-  match encode ~format:t.cert_format verdict with
+  match encode verdict with
   | None -> ()
   | Some data ->
     with_lock t (fun () ->

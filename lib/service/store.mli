@@ -12,34 +12,29 @@
                            one "<hex> <bytes> <stamp>" line per entry
     DIR/objects/<hex>      one certificate per entry:
                              cecproof-cert <version>
-                             equivalent bin3 | bin | trace  |  inequivalent <bits>
-                             <CECB bytes...> | <ascii trace...>  |
+                             equivalent bin3  |  inequivalent <bits>
+                             <CECB bytes...>  |
     v}
 
     Equivalent entries persist the verdict plus the {e trimmed}
-    refutation — by default as a {e hinted} {!Proof.Binfmt} binary
-    certificate ([bin3]: pivot hints and the prover's partition
-    boundaries as a shard table, re-validated search-free and in
-    parallel by {!Proof.Hint_check}), as the un-hinted binary format
-    with [~cert_format:Bin], or as the dense ASCII trace
-    ({!Proof.Export.trace_to_string}) with
-    [~cert_format:Trace].  Inequivalent entries persist the
+    refutation as a {!Proof.Binfmt} binary certificate ([bin3]: pivot
+    hints and the prover's partition boundaries as a shard table,
+    re-validated search-free and in parallel by {!Proof.Hint_check}).
+    Inequivalent entries persist the
     distinguishing input assignment; undecided verdicts are never
     stored (a later, bigger budget may settle them).  Every file is
     written to a temporary name in the same directory and renamed into
     place, so readers never observe a half-written entry and a crash
     cannot corrupt an existing one.
 
-    Version-1 objects (header [cecproof-cert 1], bare [equivalent]
-    verdict line, ASCII trace body) and version-2 objects ([bin] or
-    [trace] bodies) remain readable: an old store directory keeps
-    answering hits, its old index is transparently rebuilt by scanning
-    [objects/], and entries are rewritten in the current format only
-    when stored again.  Entries carrying any
-    {e other} version are treated as misses and dropped, so a cached
-    store directory (e.g. restored by a CI cache) written by an unknown
-    format can never poison a run.  A missing or unreadable index is
-    likewise rebuilt by scanning [objects/].
+    Entries carrying any other header version or body format (such as
+    the [cecproof-cert 1]/[2] objects of earlier releases, or a
+    [trace]/[bin] body) are corrupt: {!find} counts them as [corrupt]
+    misses and drops them, and {!fsck} quarantines them, so a cached
+    store directory (e.g. restored by a CI cache) written by another
+    format can never poison a run and costs one re-solve per entry.  A
+    missing, unreadable or old-version index is rebuilt by scanning
+    [objects/].
 
     {2 Eviction}
 
@@ -52,12 +47,9 @@
     A loaded certificate is untrusted input: the file may have rotted,
     been truncated, or been written by an adversary.  In paranoid mode
     (the default) a loaded equivalent entry is re-validated against the
-    requested pair before being served — ASCII traces with
-    {!Cec_core.Certify.validate_against}, un-hinted binary bodies with
-    the bounded-memory {!Proof.Stream_check}, hinted ([bin3]) bodies
-    with the search-free {!Proof.Hint_check}, each against the pair's
-    miter CNF — and a loaded counterexample is replayed through the
-    miter.
+    requested pair before being served — with the search-free
+    {!Proof.Hint_check} against the pair's miter CNF — and a loaded
+    counterexample is replayed through the miter.
     Anything that fails is deleted and reported as a miss, so the
     caller falls back to solving.  Disabling paranoia serves entries
     unchecked (fast path for trusted local stores).
@@ -66,14 +58,6 @@
     from multiple domains. *)
 
 type t
-
-(** Body format for {e newly stored} equivalent certificates ([Bin3]
-    is the default: hinted, checked search-free by {!Proof.Hint_check}
-    on load; [Bin] is the un-hinted binary format checked by
-    {!Proof.Stream_check}; [Trace] the dense ASCII trace).  Reading
-    understands all three, plus legacy version-1 objects, regardless
-    of this choice. *)
-type cert_format = Trace | Bin | Bin3
 
 type stats = {
   entries : int;
@@ -93,14 +77,11 @@ val format_version : int
 
 (** Open (creating directories as needed) a store rooted at [dir].
     [capacity_bytes] bounds the total certificate bytes (unbounded when
-    omitted); [paranoid] defaults to [true]; [cert_format] (default
-    [Bin3]) picks the body format for newly stored certificates;
-    [startup_fsck] (default [true]) runs {!fsck} before the store
+    omitted); [paranoid] defaults to [true]; [startup_fsck] (default [true]) runs {!fsck} before the store
     serves, so a crashed predecessor's debris never reaches readers. *)
 val create :
   ?capacity_bytes:int ->
   ?paranoid:bool ->
-  ?cert_format:cert_format ->
   ?startup_fsck:bool ->
   dir:string ->
   unit ->
@@ -147,11 +128,11 @@ val pp_stats : Format.formatter -> stats -> unit
     [DIR/quarantine] (never deleted — evidence survives for forensics;
     deletion is the fallback only if the move itself fails), valid
     objects missing from the index are re-adopted so warm hits keep
-    serving, and index entries without an object are dropped.  Binary
-    bodies are re-validated with the streaming checker
-    ({!Proof.Stream_check}, structural mode — the pair-specific leaf
-    check still happens at {!find} time in paranoid mode).  Runs by
-    default when a store is opened. *)
+    serving, and index entries without an object are dropped.
+    Certificate bodies are re-validated with {!Proof.Hint_check}
+    (structural mode — the pair-specific leaf check still happens at
+    {!find} time in paranoid mode).  Runs by default when a store is
+    opened. *)
 
 type fsck_report = {
   scanned : int;  (** object files examined *)

@@ -1,14 +1,13 @@
 (* Differential harness over the certificate checkers.
 
-   Three independent implementations validate binary certificates: the
-   searching streaming checker ([Stream_check]), the search-free hinted
-   checker ([Hint_check]) sequentially, and the same checker with its
-   shards spread over several domains.  They must accept exactly the
-   same certificates — hinted certificates re-encode every proof the
-   un-hinted format carries, so any divergence is a checker bug, not a
-   prover bug — and reject corrupted ones with the same
-   malformed-vs-invalid classification (the CLI's exit-code 2 vs 3
-   split).  The sharded run must further be bit-identical to the
+   Two independent implementations validate binary certificates: the
+   search-free production checker ([Hint_check]), sequentially and with
+   its shards spread over several domains, and the materializing oracle
+   ([Binfmt.decode] + [Checker]), which shares no checking code with
+   it.  The oracle must accept every certificate the production checker
+   accepts, on valid certificates and under corruption alike, and
+   truncation must always be classified as malformed (the CLI's exit
+   code 2).  The sharded run must further be bit-identical to the
    sequential one: same stats on acceptance, same error record on
    rejection, for every job count. *)
 
@@ -16,7 +15,6 @@ module Cec = Cec_core.Cec
 module Sweep = Cec_core.Sweep
 module Parallel = Cec_core.Parallel
 module R = Proof.Resolution
-module Clause = Cnf.Clause
 module Suite = Circuits.Suite
 
 let engine mode = Cec.Sweeping { Sweep.default_config with Sweep.mode }
@@ -34,60 +32,46 @@ let parallel_cert golden revised =
 
 (* Small shards so even the small fixtures exercise the multi-shard
    machinery (the production default of 256 would coalesce them). *)
-let encode_v3 (cert : Cec.certificate) =
+let encode (cert : Cec.certificate) =
   Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries ~min_shard_nodes:16
     cert.Cec.proof ~root:cert.Cec.root
 
-let encode_v1 (cert : Cec.certificate) =
-  Proof.Binfmt.encode cert.Cec.proof ~root:cert.Cec.root
-
-let stream formula data = Proof.Stream_check.check ~formula data
 let hint ?(jobs = 1) formula data = Proof.Hint_check.check ~formula ~jobs data
 
-(* --- three-way acceptance agreement on valid certificates --- *)
+(* The independent oracle: decode to a materialized proof and check it
+   with [Checker]; [Ok (nodes, chains)] on acceptance. *)
+let oracle formula data =
+  match Proof.Binfmt.decode data with
+  | exception Failure msg -> Error msg
+  | proof, root -> (
+    match Proof.Checker.check proof ~root ~formula () with
+    | Ok chains -> Ok (R.size proof, chains)
+    | Error e -> Error (Format.asprintf "%a" Proof.Checker.pp_error e))
 
-let accept_all ~what (cert : Cec.certificate) =
+(* --- acceptance agreement on valid certificates --- *)
+
+let differential ~what (cert : Cec.certificate) =
   let formula = cert.Cec.formula in
-  let v1 = encode_v1 cert and v3 = encode_v3 cert in
-  Alcotest.(check bool) (what ^ ": v3 sniffed as hinted") true (Proof.Binfmt.is_hinted v3);
-  Alcotest.(check bool) (what ^ ": v1 not sniffed as hinted") false (Proof.Binfmt.is_hinted v1);
-  let s1 =
-    match stream formula v1 with
-    | Ok st -> st
-    | Error e ->
-      Alcotest.failf "%s: stream checker rejected v1: %a" what Proof.Stream_check.pp_error e
-  in
-  let s3 =
-    match stream formula v3 with
-    | Ok st -> st
-    | Error e ->
-      Alcotest.failf "%s: stream checker rejected v3: %a" what Proof.Stream_check.pp_error e
-  in
+  let data = encode cert in
+  Alcotest.(check bool) (what ^ ": sniffed as binary") true (Proof.Binfmt.is_binary data);
   let h1 =
-    match hint formula v3 with
+    match hint formula data with
     | Ok st -> st
-    | Error e ->
-      Alcotest.failf "%s: hinted checker rejected v3: %a" what Proof.Hint_check.pp_error e
+    | Error e -> Alcotest.failf "%s: hinted checker rejected: %a" what Proof.Hint_check.pp_error e
   in
   let h4 =
-    match hint ~jobs:4 formula v3 with
+    match hint ~jobs:4 formula data with
     | Ok st -> st
     | Error e ->
-      Alcotest.failf "%s: hinted checker (jobs=4) rejected v3: %a" what
-        Proof.Hint_check.pp_error e
+      Alcotest.failf "%s: hinted checker (jobs=4) rejected: %a" what Proof.Hint_check.pp_error e
   in
-  (* Both encoders share one emission plan: same nodes, same chains,
-     same delete schedule, hence the same streaming peak. *)
-  Alcotest.(check int) (what ^ ": same node count") s1.Proof.Stream_check.nodes
-    s3.Proof.Stream_check.nodes;
-  Alcotest.(check int) (what ^ ": same chain count") s1.Proof.Stream_check.chains
-    s3.Proof.Stream_check.chains;
-  Alcotest.(check int) (what ^ ": v1/v3 streaming peak identical")
-    s1.Proof.Stream_check.peak_live s3.Proof.Stream_check.peak_live;
-  Alcotest.(check int) (what ^ ": hinted chains") s3.Proof.Stream_check.chains
-    h1.Proof.Hint_check.chains;
-  Alcotest.(check int) (what ^ ": hinted nodes") s3.Proof.Stream_check.nodes
-    h1.Proof.Hint_check.nodes;
+  let nodes, chains =
+    match oracle formula data with
+    | Ok counts -> counts
+    | Error msg -> Alcotest.failf "%s: oracle rejected an accepted certificate: %s" what msg
+  in
+  Alcotest.(check int) (what ^ ": hinted chains") chains h1.Proof.Hint_check.chains;
+  Alcotest.(check int) (what ^ ": hinted nodes") nodes h1.Proof.Hint_check.nodes;
   (* The zero-search pin: every resolution step followed its hint, and
      the step count is exactly the proof's resolution count. *)
   Alcotest.(check int)
@@ -98,35 +82,14 @@ let accept_all ~what (cert : Cec.certificate) =
   in
   Alcotest.(check int) (what ^ ": steps = proof resolutions") expected_steps
     h1.Proof.Hint_check.steps;
-  (* Sharded live sets (local clauses + held imports) never exceed the
-     sequential checker's peak. *)
+  (* Delete records keep the live set below the node count. *)
   Alcotest.(check bool)
-    (what ^ ": hinted peak within streaming peak")
+    (what ^ ": peak live within node count")
     true
-    (h1.Proof.Hint_check.peak_live <= s3.Proof.Stream_check.peak_live);
+    (h1.Proof.Hint_check.peak_live <= h1.Proof.Hint_check.nodes);
   (* Job-count independence of every reported number. *)
   if h1 <> h4 then Alcotest.failf "%s: stats differ between jobs=1 and jobs=4" what;
-  (v1, v3)
-
-(* Hint round-trip: decoding the hinted body re-derives every chain by
-   following its stored pivots only; decoding the un-hinted body
-   re-derives the same chains by clash search.  Node-for-node the
-   results must coincide. *)
-let roundtrip_agrees ~what v1 v3 =
-  let p1, r1 = Proof.Binfmt.decode v1 in
-  let p3, r3 = Proof.Binfmt.decode v3 in
-  Alcotest.(check int) (what ^ ": same decoded size") (R.size p1) (R.size p3);
-  Alcotest.(check int) (what ^ ": same decoded root") r1 r3;
-  for id = 0 to R.size p1 - 1 do
-    if not (Clause.equal (R.clause_of p1 id) (R.clause_of p3 id)) then
-      Alcotest.failf "%s: node %d: hinted derivation %s <> searched %s" what id
-        (Clause.to_dimacs_string (R.clause_of p3 id))
-        (Clause.to_dimacs_string (R.clause_of p1 id))
-  done
-
-let differential ~what (cert : Cec.certificate) =
-  let v1, v3 = accept_all ~what cert in
-  roundtrip_agrees ~what v1 v3
+  data
 
 (* --- fixed golden circuits, all prover shapes --- *)
 
@@ -138,7 +101,7 @@ let test_golden_circuits () =
           let golden = case.Suite.golden () and revised = case.Suite.revised () in
           match cert_of ~mode golden revised with
           | Some cert ->
-            differential ~what:(case.Suite.name ^ "/" ^ Sweep.mode_to_string mode) cert
+            ignore (differential ~what:(case.Suite.name ^ "/" ^ Sweep.mode_to_string mode) cert)
           | None -> Alcotest.failf "%s: no certificate" case.Suite.name)
         [ Sweep.Perpair; Sweep.Incremental ])
     Suite.small
@@ -153,8 +116,8 @@ let test_partitioned_certificate () =
   | Some cert ->
     Alcotest.(check bool) "stitch recorded boundaries" true
       (Array.length cert.Cec.boundaries > 0);
-    let _, v3 = accept_all ~what:"mul4-partitioned" cert in
-    let r = Proof.Binfmt.reader v3 in
+    let data = differential ~what:"mul4-partitioned" cert in
+    let r = Proof.Binfmt.reader data in
     Alcotest.(check bool) "multi-shard body" true (Array.length (Proof.Binfmt.shards r) > 1)
   | None -> Alcotest.fail "partitioned check did not prove equivalence"
 
@@ -181,7 +144,7 @@ let prop_random_pairs_agree =
       let golden, revised = random_equivalent_pair seed in
       let mode = if seed mod 2 = 0 then Sweep.Perpair else Sweep.Incremental in
       (match cert_of ~mode golden revised with
-      | Some cert -> differential ~what:(Printf.sprintf "random-%d" seed) cert
+      | Some cert -> ignore (differential ~what:(Printf.sprintf "random-%d" seed) cert)
       | None -> ());
       true)
 
@@ -193,72 +156,48 @@ let fuzz_fixture =
   lazy
     (let case = Option.get (Suite.find "mul3-arr-sa") in
      match cert_of (case.Suite.golden ()) (case.Suite.revised ()) with
-     | Some cert -> (encode_v3 cert, cert.Cec.formula)
+     | Some cert -> (encode cert, cert.Cec.formula)
      | None -> failwith "fuzz setup failed")
 
-(* All three verdicts on one body, with the sharded checker pinned
+(* Both checkers on one body, with the sharded checker pinned
    bit-identical to the sequential one (error record included — the
    join always checks every shard and picks a deterministic failure, so
-   rejection must not depend on the job count either). *)
-let verdicts data =
+   rejection must not depend on the job count either), and the oracle
+   accepting whatever the production checker accepts. *)
+let verdicts ~what data =
   let _, formula = Lazy.force fuzz_fixture in
-  let s = stream formula data in
   let h1 = hint formula data in
   let h4 = hint ~jobs:4 formula data in
   (match (h1, h4) with
   | Ok a, Ok b when a = b -> ()
   | Error a, Error b when a = b -> ()
-  | _ -> Alcotest.fail "hinted checker diverges between jobs=1 and jobs=4");
-  (s, h1)
-
-(* The CLI maps [malformed] to exit 2 and any other rejection to exit
-   3; classification agreement preserves that split across checkers. *)
-let check_agreement ~what s h =
-  match (s, h) with
-  | Ok _, Ok _ -> ()
-  | Error se, Error he ->
-    Alcotest.(check bool)
-      (what ^ ": same malformed classification")
-      se.Proof.Stream_check.malformed he.Proof.Hint_check.malformed
-  | Ok _, Error he ->
-    Alcotest.failf "%s: stream accepts but hinted rejects: %a" what Proof.Hint_check.pp_error he
-  | Error se, Ok _ ->
-    Alcotest.failf "%s: hinted accepts but stream rejects: %a" what Proof.Stream_check.pp_error
-      se
+  | _ -> Alcotest.failf "%s: hinted checker diverges between jobs=1 and jobs=4" what);
+  let o = oracle formula data in
+  (match (h1, o) with
+  | Ok _, Error msg -> Alcotest.failf "%s: hinted accepts but the oracle rejects: %s" what msg
+  | _ -> ());
+  (h1, o)
 
 let prop_bitflip_fuzz =
   qtest ~count:150 "single-bit corruption classified identically" (fun seed ->
-      let data, formula = Lazy.force fuzz_fixture in
+      let data, _ = Lazy.force fuzz_fixture in
       let pos = seed mod String.length data in
       let bit = 1 lsl (seed / String.length data mod 8) in
       let corrupted =
         String.mapi (fun i c -> if i = pos then Char.chr (Char.code c lxor bit) else c) data
       in
-      let s, h = verdicts corrupted in
-      check_agreement ~what:(Printf.sprintf "flip@%d^%d" pos bit) s h;
-      (match (s, h) with
-      | Ok _, Ok _ ->
-        (* A flip that still passes every checker must be a genuinely
-           valid certificate (e.g. the flip landed in redundant
-           encoding slack — there is none today, so this guards the
-           claim). *)
-        let proof, root = Proof.Binfmt.decode corrupted in
-        (match Proof.Checker.check proof ~root ~formula () with
-        | Ok _ -> ()
-        | Error e ->
-          Alcotest.failf "flip@%d^%d: checkers accepted an invalid proof: %a" pos bit
-            Proof.Checker.pp_error e)
-      | _ -> ());
+      ignore (verdicts ~what:(Printf.sprintf "flip@%d^%d" pos bit) corrupted);
       true)
 
 let prop_truncation_fuzz =
   qtest ~count:100 "truncation rejected at every cut point" (fun seed ->
       let data, _ = Lazy.force fuzz_fixture in
       let cut = seed mod (String.length data - 1) in
-      let s, h = verdicts (String.sub data 0 cut) in
-      (match (s, h) with
-      | Ok _, _ | _, Ok _ -> Alcotest.failf "cut@%d: truncated certificate accepted" cut
-      | Error _, Error _ -> check_agreement ~what:(Printf.sprintf "cut@%d" cut) s h);
+      (match verdicts ~what:(Printf.sprintf "cut@%d" cut) (String.sub data 0 cut) with
+      | Error e, Error _ ->
+        Alcotest.(check bool) (Printf.sprintf "cut@%d: malformed" cut) true
+          e.Proof.Hint_check.malformed
+      | _ -> Alcotest.failf "cut@%d: truncated certificate accepted" cut);
       true)
 
 let suites =

@@ -231,7 +231,15 @@ let test_dimacs_errors () =
   expect "1 2 0\n";
   (* clause before header *)
   expect "p cnf x 2\n";
-  expect "p cnf 2 1\n1 2\n" (* unterminated *)
+  expect "p cnf 2 1\n1 2\n" (* unterminated *);
+  expect "p cnf -1 1\n";
+  expect "p cnf 2 -1\n";
+  expect "p cnf 2 x\n";
+  (* header bomb: a variable count no 25-byte input can name *)
+  expect "p cnf 4000000000000 1\n1 0\n";
+  (* literal beyond the declared variables, in both polarities *)
+  expect "p cnf 1 1\n4000000000000 0\n";
+  expect "p cnf 1 1\n-2 0\n"
 
 let suites =
   [

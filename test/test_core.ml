@@ -201,20 +201,6 @@ let test_stitched_proof_is_rup () =
     | Error e -> Alcotest.failf "stitched DRUP rejected: %a" Proof.Rup.pp_error e)
   | (Sweep.Disproved _ | Sweep.Unresolved), _ -> Alcotest.fail "expected Proved"
 
-let test_compress_stitched_proof () =
-  let miter =
-    Aig.Miter.build (Circuits.Adder.ripple_carry 6) (Circuits.Adder.carry_select 6)
-  in
-  match Sweep.run miter Sweep.default_config with
-  | Sweep.Proved { proof; root; formula; _ }, _ -> (
-    let kept, original = Proof.Compress.sharing_gain proof ~root in
-    Alcotest.(check bool) "sharing cannot grow the proof" true (kept <= original);
-    let shared, sroot = Proof.Compress.share proof ~root in
-    match Proof.Checker.check shared ~root:sroot ~formula () with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "shared stitched proof rejected: %a" Proof.Checker.pp_error e)
-  | (Sweep.Disproved _ | Sweep.Unresolved), _ -> Alcotest.fail "expected Proved"
-
 let test_sweep_deterministic () =
   let miter =
     Aig.Miter.build (Circuits.Adder.ripple_carry 6) (Circuits.Adder.carry_lookahead 6)
@@ -234,7 +220,6 @@ let extra_suites =
         prop_fraig_preserves_random;
         Alcotest.test_case "fraig idempotent" `Quick test_fraig_idempotent_on_reduced;
         Alcotest.test_case "stitched proof is RUP" `Quick test_stitched_proof_is_rup;
-        Alcotest.test_case "compress stitched proof" `Quick test_compress_stitched_proof;
         Alcotest.test_case "sweep deterministic" `Quick test_sweep_deterministic;
       ] );
   ]

@@ -24,17 +24,18 @@ let verdict_of = function
   | Cec.Undecided -> "undecided"
 
 (* Portfolio certificates must survive the full certificate stack: the
-   random-access checker against a rebuilt miter, the streaming
-   checker, and the hinted (search-free, parallel) checker over the
-   boundary-sharded encoding. *)
+   random-access checker against a rebuilt miter, and the hinted
+   (search-free) checker over both a single-shard encoding and the
+   boundary-sharded one checked in parallel. *)
 let check_certificate ~what golden revised (cert : Cec.certificate) =
   (match Certify.validate_against cert golden revised with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%s: certificate rejected: %a" what Certify.pp_error e);
-  let data = Proof.Binfmt.encode cert.Cec.proof ~root:cert.Cec.root in
-  (match Proof.Stream_check.check ~formula:cert.Cec.formula data with
+  let data = Proof.Binfmt.encode_hinted cert.Cec.proof ~root:cert.Cec.root in
+  (match Proof.Hint_check.check ~formula:cert.Cec.formula data with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%s: streaming checker rejected: %s" what e.Proof.Stream_check.reason);
+  | Error e ->
+    Alcotest.failf "%s: single-shard check rejected: %s" what e.Proof.Hint_check.reason);
   let hinted =
     Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof ~root:cert.Cec.root
   in

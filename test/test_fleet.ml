@@ -435,12 +435,15 @@ let test_fleet_end_to_end () =
             | Some (Cec.Equivalent cert) ->
               found := true;
               let formula = Cnf.Tseitin.miter_formula (Aig.Miter.build golden revised) in
-              let bytes = Proof.Binfmt.encode cert.Cec.proof ~root:cert.Cec.root in
-              (match Proof.Stream_check.check ~formula bytes with
+              let bytes =
+                Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof
+                  ~root:cert.Cec.root
+              in
+              (match Proof.Hint_check.check ~formula bytes with
               | Ok _ -> ()
               | Error e ->
-                Alcotest.failf "stored certificate fails the streaming checker: %a"
-                  Proof.Stream_check.pp_error e)
+                Alcotest.failf "stored certificate fails the hinted checker: %a"
+                  Proof.Hint_check.pp_error e)
             | _ -> ())
           shards;
         if not !found then Alcotest.fail "certificate not found in any shard store"

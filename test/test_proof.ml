@@ -390,43 +390,6 @@ let prop_solver_drup_is_rup =
            | Ok _ -> true
            | Error _ -> false)))
 
-(* --- compression --- *)
-
-let test_compress_shares_duplicates () =
-  (* Derive the unit (b) twice (same resolvent, different antecedent
-     order) and make both copies reachable from one refutation. *)
-  let proof = R.create () in
-  let l1 = R.add_leaf proof (Clause.of_list [ lit 0; lit 1 ]) in
-  let l2 = R.add_leaf proof (Clause.of_list [ nlit 0; lit 1 ]) in
-  let l3 = R.add_leaf proof (Clause.of_list [ lit 0; nlit 1 ]) in
-  let l4 = R.add_leaf proof (Clause.of_list [ nlit 0; nlit 1 ]) in
-  let b1 = R.add_chain proof ~clause:(Clause.singleton (lit 1)) ~antecedents:[| l1; l2 |] ~pivots:[| 0 |] in
-  let b2 = R.add_chain proof ~clause:(Clause.singleton (lit 1)) ~antecedents:[| l2; l1 |] ~pivots:[| 0 |] in
-  (* (a ~b) [1] (b) -> (a) [0] (~a ~b) -> (~b) [1] (b) -> empty *)
-  let root =
-    R.add_chain proof ~clause:Clause.empty ~antecedents:[| l3; b1; l4; b2 |] ~pivots:[| 1; 0; 1 |]
-  in
-  let kept, original = Proof.Compress.sharing_gain proof ~root in
-  Alcotest.(check int) "original cone" 7 original;
-  Alcotest.(check int) "one duplicate shared" 6 kept;
-  let shared, sroot = Proof.Compress.share proof ~root in
-  match Proof.Checker.check shared ~root:sroot () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "shared proof rejected: %a" Proof.Checker.pp_error e
-
-let test_compress_preserves_validity_on_solver_proofs () =
-  let f = formula_of_leaves () in
-  let s = Sat.Solver.create () in
-  Sat.Solver.add_formula s f;
-  match Sat.Solver.solve s with
-  | Sat.Solver.Unsat root -> (
-    let shared, sroot = Proof.Compress.share (Sat.Solver.proof s) ~root in
-    match Proof.Checker.check shared ~root:sroot ~formula:f () with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "shared proof rejected: %a" Proof.Checker.pp_error e)
-  | Sat.Solver.Sat _ | Sat.Solver.Unknown | Sat.Solver.Unsat_assuming _ ->
-    Alcotest.fail "expected UNSAT"
-
 let extra_suites =
   [
     ( "proof-rup",
@@ -435,109 +398,6 @@ let extra_suites =
         Alcotest.test_case "rup stream" `Quick test_rup_stream;
         Alcotest.test_case "rup validates drup export" `Quick test_rup_validates_drup_export;
         prop_solver_drup_is_rup;
-        Alcotest.test_case "compress shares duplicates" `Quick test_compress_shares_duplicates;
-        Alcotest.test_case "compress on solver proofs" `Quick
-          test_compress_preserves_validity_on_solver_proofs;
-      ] );
-  ]
-
-(* --- Craig interpolation --- *)
-
-let solve_partition a b =
-  (* Refute A ∧ B with the proof-logging solver. *)
-  let s = Sat.Solver.create () in
-  Sat.Solver.add_formula s a;
-  Sat.Solver.add_formula s b;
-  match Sat.Solver.solve s with
-  | Sat.Solver.Unsat root -> Some (Sat.Solver.proof s, root)
-  | Sat.Solver.Sat _ | Sat.Solver.Unknown | Sat.Solver.Unsat_assuming _ -> None
-
-let check_interpolant_contracts a b itp =
-  let num_vars = max (Formula.num_vars a) (Formula.num_vars b) in
-  assert (num_vars <= 14);
-  (* support(I) within shared variables *)
-  let occurs f =
-    let arr = Array.make num_vars false in
-    Formula.iter (fun c -> Clause.iter (fun l -> arr.(Lit.var l) <- true) c) f;
-    arr
-  in
-  let in_a = occurs a and in_b = occurs b in
-  Array.iter
-    (fun v ->
-      if not (in_a.(v) && in_b.(v)) then
-        Alcotest.failf "interpolant depends on non-shared variable %d" v)
-    (Aig.Cone.support itp [ Aig.output itp 0 ]);
-  (* A |= I  and  I ∧ B unsat, exhaustively *)
-  for mask = 0 to (1 lsl num_vars) - 1 do
-    let assignment = Array.init num_vars (fun v -> (mask lsr v) land 1 = 1) in
-    let value_i = (Aig.eval itp assignment).(0) in
-    if Formula.satisfied_by a assignment && not value_i then
-      Alcotest.failf "A |= I violated on %d" mask;
-    if value_i && Formula.satisfied_by b assignment then
-      Alcotest.failf "I and B satisfiable together on %d" mask
-  done
-
-let test_interpolant_hand () =
-  let a = Formula.create () in
-  ignore (Formula.add_list a [ nlit 0; lit 1 ]);
-  let b = Formula.create () in
-  ignore (Formula.add_list b [ lit 0 ]);
-  ignore (Formula.add_list b [ nlit 1 ]);
-  match solve_partition a b with
-  | None -> Alcotest.fail "partition should be unsatisfiable"
-  | Some (proof, root) ->
-    let itp = Proof.Interpolant.compute proof ~root ~a ~b in
-    check_interpolant_contracts a b itp
-
-let test_interpolant_rejects_foreign_leaf () =
-  let proof, root = hand_refutation () in
-  let a = Formula.create () in
-  ignore (Formula.add_list a [ lit 0; lit 1 ]);
-  let b = Formula.create () in
-  ignore (Formula.add_list b [ nlit 0; lit 1 ]);
-  (* two of the four leaves are in neither partition *)
-  match Proof.Interpolant.compute proof ~root ~a ~b with
-  | exception Proof.Interpolant.Partition_error _ -> ()
-  | _ -> Alcotest.fail "foreign leaves accepted"
-
-let prop_interpolants_on_random_partitions =
-  let arb = QCheck.make ~print:string_of_int QCheck.Gen.nat in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~name:"interpolants satisfy the three contracts" ~count:60 arb
-       (fun seed ->
-         let rng = Support.Rng.create (seed + 500) in
-         let nvars = 4 + Support.Rng.int rng 5 in
-         let make_clause () =
-           let rec pick acc k =
-             if k = 0 then acc
-             else
-               let v = Support.Rng.int rng nvars in
-               if List.exists (fun l -> Lit.var l = v) acc then pick acc k
-               else pick (Lit.make v ~neg:(Support.Rng.bool rng) :: acc) (k - 1)
-           in
-           Clause.of_list (pick [] 3)
-         in
-         let a = Formula.create () and b = Formula.create () in
-         let total = int_of_float (5.0 *. float_of_int nvars) in
-         for i = 1 to total do
-           ignore (Formula.add (if i mod 2 = 0 then a else b) (make_clause ()))
-         done;
-         Formula.ensure_vars a nvars;
-         Formula.ensure_vars b nvars;
-         match solve_partition a b with
-         | None -> true (* satisfiable: nothing to interpolate *)
-         | Some (proof, root) ->
-           let itp = Proof.Interpolant.compute proof ~root ~a ~b in
-           check_interpolant_contracts a b itp;
-           true))
-
-let interpolant_suites =
-  [
-    ( "proof-interpolant",
-      [
-        Alcotest.test_case "hand example" `Quick test_interpolant_hand;
-        Alcotest.test_case "foreign leaves rejected" `Quick test_interpolant_rejects_foreign_leaf;
-        prop_interpolants_on_random_partitions;
       ] );
   ]
 
@@ -560,11 +420,36 @@ let test_dot_export () =
 let dot_suites =
   [ ("proof-dot", [ Alcotest.test_case "dot export" `Quick test_dot_export ]) ]
 
-(* --- binary certificates (Binfmt + Stream_check) --- *)
+(* --- binary certificates (encode_hinted + Hint_check) ---
+
+   [Hint_check] validates a certificate in one forward streaming pass
+   over its records; the "stream check" cases pin that pass's
+   accept/reject verdicts and its malformed-vs-semantic classification
+   (the CLI's exit code 2 vs 3). *)
+
+(* Hand-crafted bytes: two unit leaves, a delete of node 0, then a
+   chain citing the deleted node.  The header is node count 3 and one
+   shard of 3 nodes, 14 body bytes and no exports; records end at bytes
+   13, 16, 19 and 24, and the chain carries one pivot hint.  The reader
+   streams it (it is structurally fine); a checker must reject the dead
+   antecedent. *)
+let use_after_delete_bytes () =
+  let buf = Buffer.create 32 in
+  Buffer.add_string buf Proof.Binfmt.magic;
+  Buffer.add_char buf (Char.chr Proof.Binfmt.version_hinted);
+  List.iter (Buffer.add_char buf)
+    [
+      '\003'; '\001'; '\003'; '\014'; '\000' (* 3 nodes; one shard: 3 nodes, 14 bytes *);
+      '\000'; '\001'; '\000' (* leaf (a): 1 literal, lit 0 *);
+      '\000'; '\001'; '\001' (* leaf (~a): 1 literal, lit 1 *);
+      '\003'; '\001'; '\000' (* delete node 0 *);
+      '\002'; '\002'; '\002'; '\001'; '\000' (* chain of nodes 0 and 1, pivot 0 *);
+    ];
+  Buffer.contents buf
 
 let test_binfmt_roundtrip_hand () =
   let proof, root = hand_refutation () in
-  let data = Proof.Binfmt.encode proof ~root in
+  let data = Proof.Binfmt.encode_hinted proof ~root in
   Alcotest.(check bool) "binary sniffed" true (Proof.Binfmt.is_binary data);
   Alcotest.(check bool) "ascii not sniffed" false
     (Proof.Binfmt.is_binary (Proof.Export.trace_to_string proof ~root));
@@ -577,16 +462,15 @@ let test_binfmt_roundtrip_hand () =
 
 let test_stream_check_accepts_hand () =
   let proof, root = hand_refutation () in
-  let data = Proof.Binfmt.encode proof ~root in
-  match Proof.Stream_check.check ~formula:(formula_of_leaves ()) data with
-  | Error e -> Alcotest.failf "valid certificate rejected: %a" Proof.Stream_check.pp_error e
+  let data = Proof.Binfmt.encode_hinted proof ~root in
+  match Proof.Hint_check.check ~formula:(formula_of_leaves ()) data with
+  | Error e -> Alcotest.failf "valid certificate rejected: %a" Proof.Hint_check.pp_error e
   | Ok st ->
-    Alcotest.(check int) "seven nodes" 7 st.Proof.Stream_check.nodes;
-    Alcotest.(check int) "three chains" 3 st.Proof.Stream_check.chains;
-    Alcotest.(check bool) "deletes emitted" true (st.Proof.Stream_check.deletes > 0);
+    Alcotest.(check int) "seven nodes" 7 st.Proof.Hint_check.nodes;
+    Alcotest.(check int) "three chains" 3 st.Proof.Hint_check.chains;
+    Alcotest.(check bool) "deletes emitted" true (st.Proof.Hint_check.deletes > 0);
     Alcotest.(check bool) "peak below node count" true
-      (st.Proof.Stream_check.peak_live < st.Proof.Stream_check.nodes);
-    Alcotest.(check bool) "root still live" true (st.Proof.Stream_check.live_at_end >= 1)
+      (st.Proof.Hint_check.peak_live < st.Proof.Hint_check.nodes)
 
 let test_stream_check_rejects_nonempty_root () =
   (* Root the certificate at the intermediate unit (b): well-formed
@@ -595,81 +479,61 @@ let test_stream_check_rejects_nonempty_root () =
   let l1 = R.add_leaf proof (Clause.of_list [ lit 0; lit 1 ]) in
   let l2 = R.add_leaf proof (Clause.of_list [ nlit 0; lit 1 ]) in
   let b = R.add_chain proof ~clause:(Clause.singleton (lit 1)) ~antecedents:[| l1; l2 |] ~pivots:[| 0 |] in
-  let data = Proof.Binfmt.encode proof ~root:b in
-  match Proof.Stream_check.check data with
+  let data = Proof.Binfmt.encode_hinted proof ~root:b in
+  match Proof.Hint_check.check data with
   | Ok _ -> Alcotest.fail "non-refutation accepted"
-  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Stream_check.malformed
+  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Hint_check.malformed
 
 let test_stream_check_rejects_assumption_leaf () =
   let proof = R.create () in
   let l1 = R.add_leaf ~assumption:true proof (Clause.singleton (lit 0)) in
   let l2 = R.add_leaf proof (Clause.singleton (nlit 0)) in
   let root = R.add_chain proof ~clause:Clause.empty ~antecedents:[| l1; l2 |] ~pivots:[| 0 |] in
-  let data = Proof.Binfmt.encode proof ~root in
-  match Proof.Stream_check.check data with
+  let data = Proof.Binfmt.encode_hinted proof ~root in
+  match Proof.Hint_check.check data with
   | Ok _ -> Alcotest.fail "assumption leaf accepted"
-  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Stream_check.malformed
+  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Hint_check.malformed
 
 let test_stream_check_rejects_foreign_leaf () =
   let proof, root = hand_refutation () in
-  let data = Proof.Binfmt.encode proof ~root in
+  let data = Proof.Binfmt.encode_hinted proof ~root in
   let small = Formula.create () in
   ignore (Formula.add_list small [ lit 0; lit 1 ]);
-  match Proof.Stream_check.check ~formula:small data with
+  match Proof.Hint_check.check ~formula:small data with
   | Ok _ -> Alcotest.fail "foreign leaf accepted"
-  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Stream_check.malformed
+  | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Hint_check.malformed
 
 let test_stream_check_rejects_corruption () =
   let proof, root = hand_refutation () in
-  let data = Proof.Binfmt.encode proof ~root in
+  let data = Proof.Binfmt.encode_hinted proof ~root in
   let flip i =
     String.mapi (fun j c -> if i = j then Char.chr (Char.code c lxor 0x7f) else c) data
   in
   (* Bad magic and truncation are byte-level corruption. *)
-  (match Proof.Stream_check.check (flip 0) with
-  | Error e -> Alcotest.(check bool) "bad magic is malformed" true e.Proof.Stream_check.malformed
+  (match Proof.Hint_check.check (flip 0) with
+  | Error e -> Alcotest.(check bool) "bad magic is malformed" true e.Proof.Hint_check.malformed
   | Ok _ -> Alcotest.fail "bad magic accepted");
-  (match Proof.Stream_check.check (String.sub data 0 (String.length data - 2)) with
-  | Error e -> Alcotest.(check bool) "truncation is malformed" true e.Proof.Stream_check.malformed
+  (match Proof.Hint_check.check (String.sub data 0 (String.length data - 2)) with
+  | Error e -> Alcotest.(check bool) "truncation is malformed" true e.Proof.Hint_check.malformed
   | Ok _ -> Alcotest.fail "truncated certificate accepted");
   match Proof.Binfmt.decode (flip 4) with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "decode swallowed a bad version byte"
 
 let test_binfmt_delete_then_use_rejected () =
-  (* Hand-craft bytes: two unit leaves, a delete of node 0, then a
-     chain citing the deleted node.  The reader must stream it (it is
-     structurally fine) and the checker must reject the dead
-     antecedent. *)
-  let buf = Buffer.create 32 in
-  Buffer.add_string buf Proof.Binfmt.magic;
-  Buffer.add_char buf (Char.chr Proof.Binfmt.version);
-  List.iter (Buffer.add_char buf)
-    [
-      '\003' (* node count 3 *);
-      '\000'; '\001'; '\000' (* leaf (a): 1 literal, lit 0 *);
-      '\000'; '\001'; '\001' (* leaf (~a): 1 literal, lit 1 *);
-      '\003'; '\001'; '\000' (* delete node 0 *);
-      '\002'; '\002'; '\002'; '\001' (* chain of nodes 0 and 1 *);
-    ];
-  match Proof.Stream_check.check (Buffer.contents buf) with
+  match Proof.Hint_check.check (use_after_delete_bytes ()) with
   | Ok _ -> Alcotest.fail "use-after-delete accepted"
   | Error e ->
-    Alcotest.(check bool) "semantic, not malformed" false e.Proof.Stream_check.malformed
+    Alcotest.(check bool) "semantic, not malformed" false e.Proof.Hint_check.malformed
 
 let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
-(* --- hinted certificates (encode_hinted + Hint_check) --- *)
-
 let test_hinted_roundtrip_hand () =
   let proof, root = hand_refutation () in
   let data = Proof.Binfmt.encode_hinted proof ~root in
-  Alcotest.(check bool) "hinted sniffed" true (Proof.Binfmt.is_hinted data);
-  Alcotest.(check bool) "v1 not sniffed as hinted" false
-    (Proof.Binfmt.is_hinted (Proof.Binfmt.encode proof ~root));
   let proof', root' = Proof.Binfmt.decode data in
   Alcotest.(check int) "same node count" 7 (R.size proof');
   Alcotest.(check bool) "root empty" true (Clause.is_empty (R.clause_of proof' root'));
@@ -690,10 +554,6 @@ let test_hinted_sharded_roundtrip () =
      export table end to end. *)
   let proof, root = hand_refutation () in
   let data = Proof.Binfmt.encode_hinted ~boundaries:[| 4; 5 |] ~min_shard_nodes:1 proof ~root in
-  (* The sequential checker enforces the same shard discipline. *)
-  (match Proof.Stream_check.check ~formula:(formula_of_leaves ()) data with
-  | Error e -> Alcotest.failf "stream checker rejected shards: %a" Proof.Stream_check.pp_error e
-  | Ok _ -> ());
   List.iter
     (fun jobs ->
       match Proof.Hint_check.check ~formula:(formula_of_leaves ()) ~jobs data with
@@ -707,87 +567,63 @@ let test_hinted_sharded_roundtrip () =
   let proof', root' = Proof.Binfmt.decode data in
   Alcotest.(check bool) "decoded root empty" true (Clause.is_empty (R.clause_of proof' root'))
 
+(* A certificate in the retired un-hinted layout (version byte 1, no
+   shard table, chains without pivots) is not a CECB certificate any
+   more: byte-level corruption, not a semantic rejection. *)
 let test_hint_check_refuses_unhinted () =
-  let proof, root = hand_refutation () in
-  let data = Proof.Binfmt.encode proof ~root in
-  match Proof.Hint_check.check data with
+  let buf = Buffer.create 32 in
+  Buffer.add_string buf Proof.Binfmt.magic;
+  Buffer.add_char buf '\001';
+  List.iter (Buffer.add_char buf)
+    [ '\003'; '\000'; '\001'; '\000'; '\000'; '\001'; '\001'; '\002'; '\002'; '\002'; '\001' ];
+  match Proof.Hint_check.check (Buffer.contents buf) with
   | Ok _ -> Alcotest.fail "hinted checker accepted an un-hinted certificate"
   | Error e ->
-    Alcotest.(check bool) "not classified as corruption" false e.Proof.Hint_check.malformed;
-    Alcotest.(check bool) "says the certificate has no hints" true
-      (contains e.Proof.Hint_check.reason "no hints")
+    Alcotest.(check bool) "classified as corruption" true e.Proof.Hint_check.malformed;
+    Alcotest.(check int) "at the version byte" (String.length Proof.Binfmt.magic)
+      e.Proof.Hint_check.offset;
+    Alcotest.(check bool) "says the version is unsupported" true
+      (contains e.Proof.Hint_check.reason "unsupported format version 1")
 
 (* Rejection reports pin the offending chain id and byte offset in a
    fixed format — `check-proof` prints these verbatim, so downstream
    tooling may parse them. *)
 let test_reject_message_pins_chain_and_offset () =
-  (* v1: two unit leaves, delete node 0, then a chain citing it.
-     Records end at bytes 9, 12, 15, 19; the offending chain is node 2. *)
-  let v1 = Buffer.create 32 in
-  Buffer.add_string v1 Proof.Binfmt.magic;
-  Buffer.add_char v1 (Char.chr Proof.Binfmt.version);
-  List.iter (Buffer.add_char v1)
-    [
-      '\003';
-      '\000'; '\001'; '\000';
-      '\000'; '\001'; '\001';
-      '\003'; '\001'; '\000';
-      '\002'; '\002'; '\002'; '\001';
-    ];
-  (match Proof.Stream_check.check (Buffer.contents v1) with
-  | Ok _ -> Alcotest.fail "use-after-delete accepted"
-  | Error e ->
-    Alcotest.(check (option int)) "chain attributed" (Some 2) e.Proof.Stream_check.chain;
-    Alcotest.(check string) "stream message format"
-      "chain 2, byte 19: antecedent 0 is dead (deleted before its last use)"
-      (Format.asprintf "%a" Proof.Stream_check.pp_error e));
-  (* The same proof in the hinted layout: a 5-byte header (node count,
-     one shard of 3 nodes, 14 body bytes, no exports) shifts the chain
-     record's end to byte 24; the chain carries one pivot hint. *)
-  let v3 = Buffer.create 32 in
-  Buffer.add_string v3 Proof.Binfmt.magic;
-  Buffer.add_char v3 (Char.chr Proof.Binfmt.version_hinted);
-  List.iter (Buffer.add_char v3)
-    [
-      '\003'; '\001'; '\003'; '\014'; '\000';
-      '\000'; '\001'; '\000';
-      '\000'; '\001'; '\001';
-      '\003'; '\001'; '\000';
-      '\002'; '\002'; '\002'; '\001'; '\000';
-    ];
   let expected = "chain 2, byte 24: antecedent 0 is dead (deleted before its last use)" in
-  (match Proof.Hint_check.check (Buffer.contents v3) with
+  match Proof.Hint_check.check (use_after_delete_bytes ()) with
   | Ok _ -> Alcotest.fail "hinted use-after-delete accepted"
   | Error e ->
     Alcotest.(check (option int)) "hinted chain attributed" (Some 2) e.Proof.Hint_check.chain;
     Alcotest.(check string) "hinted message format" expected
-      (Format.asprintf "%a" Proof.Hint_check.pp_error e));
-  match Proof.Stream_check.check (Buffer.contents v3) with
-  | Ok _ -> Alcotest.fail "stream accepted hinted use-after-delete"
-  | Error e ->
-    Alcotest.(check string) "stream agrees on the hinted body" expected
-      (Format.asprintf "%a" Proof.Stream_check.pp_error e)
+      (Format.asprintf "%a" Proof.Hint_check.pp_error e)
 
 let test_hinted_wrong_hint_rejected () =
   (* Flip the final chain's pivot hint (variable 1 -> variable 0): the
-     hinted checker fails the non-clashing resolution, the searching
-     checker fails the hint cross-check — both must reject without
-     classifying the bytes as corrupt. *)
+     checker fails the non-clashing resolution without classifying the
+     bytes as corrupt, and decoding fails the same step. *)
   let proof, root = hand_refutation () in
   let data = Proof.Binfmt.encode_hinted proof ~root in
-  (* The last byte of the final chain record is its single pivot. *)
-  let flipped =
-    String.mapi
-      (fun i c -> if i = String.length data - 1 then Char.chr (Char.code c lxor 1) else c)
-      data
+  (* The root chain's single pivot is the last byte of its record; a
+     delete record for its antecedents follows, so locate the record
+     with the reader rather than counting from the end of the data. *)
+  let r = Proof.Binfmt.reader data in
+  let rec pivot_byte () =
+    match Proof.Binfmt.next r with
+    | Some (Proof.Binfmt.Chain _)
+      when Proof.Binfmt.defined_nodes r = Proof.Binfmt.declared_nodes r ->
+      Proof.Binfmt.offset r - 1
+    | Some _ -> pivot_byte ()
+    | None -> Alcotest.fail "no root chain"
   in
+  let at = pivot_byte () in
+  Alcotest.(check int) "pivot byte holds variable 1" 1 (Char.code data.[at]);
+  let flipped = String.mapi (fun i c -> if i = at then Char.chr (Char.code c lxor 1) else c) data in
   (match Proof.Hint_check.check flipped with
   | Ok _ -> Alcotest.fail "wrong hint accepted by the hinted checker"
   | Error e -> Alcotest.(check bool) "semantic, not malformed" false e.Proof.Hint_check.malformed);
-  match Proof.Stream_check.check flipped with
-  | Ok _ -> Alcotest.fail "wrong hint accepted by the stream checker"
-  | Error e ->
-    Alcotest.(check bool) "semantic, not malformed" false e.Proof.Stream_check.malformed
+  match Proof.Binfmt.decode flipped with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "wrong hint accepted by decode"
 
 (* --- regressions for the proof-I/O bugfixes --- *)
 
@@ -850,4 +686,4 @@ let binfmt_suites =
       ] );
   ]
 
-let suites = base_suites @ extra_suites @ interpolant_suites @ dot_suites @ binfmt_suites
+let suites = base_suites @ extra_suites @ dot_suites @ binfmt_suites

@@ -349,7 +349,7 @@ let prop_trace_roundtrip =
 
 (* Binary certificates: encode real sweeping refutations and (a) decode
    back to an equivalent checkable proof, (b) validate with the
-   streaming checker, (c) fuzz the bytes — corruption must come back as
+   hinted checker, (c) fuzz the bytes — corruption must come back as
    [Error], never an exception or a crash. *)
 let prop_binfmt_roundtrip =
   qtest "binary certificate round-trip" (fun seed ->
@@ -358,7 +358,7 @@ let prop_binfmt_roundtrip =
       | Cec.Inequivalent _ | Cec.Undecided -> true (* refutations only *)
       | Cec.Equivalent cert ->
         let proof = cert.Cec.proof and root = cert.Cec.root in
-        let data = Proof.Binfmt.encode proof ~root in
+        let data = Proof.Binfmt.encode_hinted proof ~root in
         (* The encoder trims, so compare against the trimmed cone. *)
         let trimmed, troot = Proof.Trim.cone proof ~root in
         let proof', root' = Proof.Binfmt.decode data in
@@ -370,24 +370,24 @@ let prop_binfmt_roundtrip =
         | Ok _ -> ()
         | Error e ->
           QCheck.Test.fail_reportf "decoded proof rejected: %a" Proof.Checker.pp_error e);
-        (match Proof.Stream_check.check ~formula:cert.Cec.formula data with
+        (match Proof.Hint_check.check ~formula:cert.Cec.formula data with
         | Ok st ->
-          if st.Proof.Stream_check.nodes <> R.size proof' then
-            QCheck.Test.fail_report "streaming node count differs from decode";
-          if st.Proof.Stream_check.peak_live > st.Proof.Stream_check.nodes then
+          if st.Proof.Hint_check.nodes <> R.size proof' then
+            QCheck.Test.fail_report "checked node count differs from decode";
+          if st.Proof.Hint_check.peak_live > st.Proof.Hint_check.nodes then
             QCheck.Test.fail_report "peak live above node count"
         | Error e ->
-          QCheck.Test.fail_reportf "streaming checker rejected a valid certificate: %a"
-            Proof.Stream_check.pp_error e);
+          QCheck.Test.fail_reportf "hinted checker rejected a valid certificate: %a"
+            Proof.Hint_check.pp_error e);
         (* Deterministic encoding: same proof, same bytes. *)
-        if Proof.Binfmt.encode proof' ~root:root' <> data then
+        if Proof.Binfmt.encode_hinted proof' ~root:root' <> data then
           QCheck.Test.fail_report "re-encode diverged from the original bytes";
         true)
 
 let valid_cert_bytes =
   lazy
     (let proof, root, formula = Lazy.force valid_proof in
-     (Proof.Binfmt.encode proof ~root, formula))
+     (Proof.Binfmt.encode_hinted proof ~root, formula))
 
 let prop_binfmt_fuzz =
   qtest ~count:200 "corrupted binary certificates never crash" (fun seed ->
@@ -413,16 +413,16 @@ let prop_binfmt_fuzz =
       (* Whatever the mutation did, the checker must return a Result —
          a mutation that leaves the certificate valid is legitimately
          accepted, anything else must be a structured rejection. *)
-      (match Proof.Stream_check.check ~formula mutated with
+      (match Proof.Hint_check.check ~formula mutated with
       | Ok _ | Error _ -> ());
       (* Corruption within the 5 header bytes is always detected. *)
       (if String.length mutated < String.length Proof.Binfmt.magic + 1
           || not (String.equal (String.sub mutated 0 5) (String.sub data 0 5))
        then
-         match Proof.Stream_check.check ~formula mutated with
+         match Proof.Hint_check.check ~formula mutated with
          | Ok _ -> QCheck.Test.fail_report "corrupted header accepted"
          | Error e ->
-           if not e.Proof.Stream_check.malformed then
+           if not e.Proof.Hint_check.malformed then
              QCheck.Test.fail_report "corrupted header reported as semantic");
       (* [decode] may raise [Failure] (documented) but nothing else. *)
       (match Proof.Binfmt.decode mutated with

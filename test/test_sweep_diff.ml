@@ -30,16 +30,18 @@ let verdict_of = function
   | Cec.Undecided -> "undecided"
 
 (* Certificate must pass the random-access checker against a rebuilt
-   miter AND, re-encoded as a CECB binary, the bounded-memory streaming
+   miter AND, re-encoded as a CECB binary, the search-free hinted
    checker against its own formula. *)
 let check_certificate ~what golden revised (cert : Cec.certificate) =
   (match Certify.validate_against cert golden revised with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "%s: certificate rejected: %a" what Certify.pp_error e);
-  let data = Proof.Binfmt.encode cert.Cec.proof ~root:cert.Cec.root in
-  match Proof.Stream_check.check ~formula:cert.Cec.formula data with
+  let data =
+    Proof.Binfmt.encode_hinted ~boundaries:cert.Cec.boundaries cert.Cec.proof ~root:cert.Cec.root
+  in
+  match Proof.Hint_check.check ~formula:cert.Cec.formula data with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "%s: streaming checker rejected: %s" what e.Proof.Stream_check.reason
+  | Error e -> Alcotest.failf "%s: hinted checker rejected: %s" what e.Proof.Hint_check.reason
 
 let replay_cex ~what golden revised cex =
   let miter = Aig.Miter.build golden revised in
